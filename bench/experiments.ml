@@ -12,7 +12,13 @@ let section id title source =
 
 let check_mark ok = if ok then "ok" else "MISMATCH"
 
-let ev ?config ?(env = []) e = Eval.eval ?config (Eval.env_of_list env) e
+(* Evaluate under the default budget; a verdict aborts the harness. *)
+let eval_in env e =
+  match Eval.run env e with
+  | Ok v -> v
+  | Error x -> failwith (Budget.exhaustion_to_string x)
+
+let ev ?(env = []) e = eval_in (Eval.env_of_list env) e
 
 let rel1 l = Value.bag_of_list (List.map (fun x -> Value.tuple [ Value.atom x ]) l)
 
@@ -323,13 +329,16 @@ let e10_balg1_growth () =
   Printf.printf "%6s | %16s | %16s\n" "n" "max count" "n^3";
   List.iter
     (fun n ->
-      let meters = Eval.fresh_meters () in
+      let t = Telemetry.create () in
       let bn = Value.replicate (B.of_int n) (Value.tuple [ Value.atom "a" ]) in
-      ignore (Eval.eval ~meters (Eval.env_of_list [ ("B", bn) ]) q);
-      Printf.printf "%6d | %16s | %16d  %s\n" n
-        (B.to_string meters.Eval.max_count_seen)
+      ignore (Eval.run ~telemetry:t (Eval.env_of_list [ ("B", bn) ]) q);
+      let max_count = ref B.zero in
+      Telemetry.iter t (fun sp ->
+          if B.compare sp.Telemetry.peak_count !max_count > 0 then
+            max_count := sp.Telemetry.peak_count);
+      Printf.printf "%6d | %16s | %16d  %s\n" n (B.to_string !max_count)
         (n * n * n)
-        (check_mark (B.equal meters.Eval.max_count_seen (B.of_int (n * n * n)))))
+        (check_mark (B.equal !max_count (B.of_int (n * n * n)))))
     [ 2; 4; 8; 16; 32; 64 ];
   print_endline
     "polynomial counts fit in O(log n) bits as pointers+counters: the\n\
@@ -373,7 +382,7 @@ let e12_pebble_game () =
       let g = C.g_balanced n and g' = C.g_flipped n in
       let run graph =
         Eval.truthy
-          (Eval.eval
+          (eval_in
              (Eval.env_of_list [ ("G", C.edges_value graph) ])
              (C.phi_query graph))
       in
@@ -551,8 +560,8 @@ let e18_optimizer () =
       (fun _ ->
         let inst = Baggen.Genexpr.instance rng [ ("R", 1); ("S", 2) ] in
         Value.equal
-          (Eval.eval (Eval.env_of_list inst) e1)
-          (Eval.eval (Eval.env_of_list inst) e2))
+          (eval_in (Eval.env_of_list inst) e1)
+          (eval_in (Eval.env_of_list inst) e2))
       (List.init 40 Fun.id)
   in
   (* sound rules on a random corpus *)

@@ -26,7 +26,7 @@ let rel10 =
 
 let leq10 = Baggen.Genval.leq_relation rel10
 
-let eval_closed e = Eval.eval (Eval.env_of_list []) e
+let eval_closed e = Eval.run (Eval.env_of_list []) e
 
 let selfjoin_q = Derived.selfjoin (Expr.lit binary20 (Ty.relation 2))
 let tc_q = Derived.transitive_closure (Expr.lit graph8 (Ty.relation 2))
@@ -134,16 +134,19 @@ let tests =
       Test.make ~name:"e17 transitive closure (n=8)"
         (staged (fun () -> ignore (eval_closed tc_q)));
       Test.make ~name:"e18 selection raw"
-        (staged (fun () -> ignore (Eval.eval pushdown_inst pushdown_raw)));
+        (staged (fun () -> ignore (Eval.run pushdown_inst pushdown_raw)));
       Test.make ~name:"e18 selection pushed down"
-        (staged (fun () -> ignore (Eval.eval pushdown_inst pushdown_opt)));
+        (staged (fun () -> ignore (Eval.run pushdown_inst pushdown_opt)));
       Test.make ~name:"lang parse (TC query)"
         (staged (fun () -> ignore (Baglang.Parser.expr_of_string parse_input)));
       Test.make ~name:"e20 group-by via nest (20 tuples)"
         (staged (fun () ->
              ignore (eval_closed (Derived.group_count [ 1 ] (Expr.lit binary20 (Ty.relation 2))))));
-      Test.make ~name:"explain profiler overhead (self-join)"
-        (staged (fun () -> ignore (Explain.run selfjoin_q)));
+      Test.make ~name:"telemetry overhead (self-join)"
+        (staged (fun () ->
+             ignore
+               (Eval.run ~telemetry:(Telemetry.create ()) (Eval.env_of_list [])
+                  selfjoin_q)));
     ]
 
 let run_benchmarks () =
@@ -178,38 +181,27 @@ let run_benchmarks () =
 (* ------------------------------------------------------------------ *)
 (* --json: a machine-readable run for CI.  Hand-rolled measurement — a
    calibrated batch size, the median over repeated batches, allocation
-   words from [Gc.allocated_bytes], and the evaluator's memo meters. *)
+   words from [Gc.allocated_bytes], and the memo counts of one governed
+   telemetry run. *)
 
 type jbench = {
   jname : string;
   jengine : string;  (** "tree" or "vec" — the engine column of the report *)
   jrun : unit -> unit;
-  jmeters : Eval.meters option;  (** shared by every run of this bench *)
+  jmemo : bool;  (** evaluator benches report a memo hit rate *)
   jquery : Expr.t option;
       (** evaluator benches keep their query so one extra governed run can
           collect a telemetry summary for the report *)
 }
 
 let json_benches ?pool () =
-  let metered ?pool name q =
-    let m = Eval.fresh_meters () in
+  let metered ?pool ?(engine = Veval.Tree) name q =
     {
       jname = name;
-      jengine = "tree";
+      jengine = Veval.engine_to_string engine;
       jrun =
-        (fun () -> ignore (Eval.eval ?pool ~meters:m (Eval.env_of_list []) q));
-      jmeters = Some m;
-      jquery = Some q;
-    }
-  in
-  let metered_vec ?pool name q =
-    let m = Eval.fresh_meters () in
-    {
-      jname = name;
-      jengine = "vec";
-      jrun =
-        (fun () -> ignore (Veval.eval ?pool ~meters:m (Eval.env_of_list []) q));
-      jmeters = Some m;
+        (fun () -> ignore (Veval.run_engine engine ?pool (Eval.env_of_list []) q));
+      jmemo = true;
       jquery = Some q;
     }
   in
@@ -220,7 +212,6 @@ let json_benches ?pool () =
      accepted, and these rows regress against the optimised baseline —
      the gate's self-test. *)
   let metered_opt ?pool name q =
-    let m = Eval.fresh_meters () in
     let tenv = Typecheck.env_of_list [] in
     {
       jname = name;
@@ -228,9 +219,8 @@ let json_benches ?pool () =
       jrun =
         (fun () ->
           ignore
-            (Eval.eval ?pool ~meters:m (Eval.env_of_list [])
-               (Opt.prepare Opt.Cost tenv q)));
-      jmeters = Some m;
+            (Eval.run ?pool (Eval.env_of_list []) (Opt.prepare Opt.Cost tenv q)));
+      jmemo = true;
       jquery = Some (Opt.prepare Opt.Cost tenv q);
     }
   in
@@ -238,7 +228,7 @@ let json_benches ?pool () =
      algebra query computing the same thing, so the telemetry column of
      BENCH_eval.json is never null — one governed run per row. *)
   let plain ?(engine = "tree") ~query name f =
-    { jname = name; jengine = engine; jrun = f; jmeters = None; jquery = Some query }
+    { jname = name; jengine = engine; jrun = f; jmemo = false; jquery = Some query }
   in
   let powerset12_q = Expr.Powerset (Expr.lit bag12 (Ty.relation 1)) in
   let product20_q =
@@ -313,7 +303,7 @@ let json_benches ?pool () =
       plain ~engine:"vec" ~query:(Lazy.force proj300_q) "proj_product300_vec"
         (fun () ->
           ignore (Vec.to_value (Vec.map_scalar proj14 (Lazy.force vecprod300))));
-      metered_vec "selfjoin_binary300_vec" (Lazy.force selfjoin300_q);
+      metered ~engine:Veval.Vec "selfjoin_binary300_vec" (Lazy.force selfjoin300_q);
     ]
   in
   (* With [--jobs N], the parallelizable benches also run as [_jobsN] rows so
@@ -355,20 +345,9 @@ let json_benches ?pool () =
             (tag "proj_product300_vec") (fun () ->
               ignore
                 (Vec.to_value (Vec.map_scalar proj14 (Lazy.force vecprod300))));
-          metered_vec ~pool:p (tag "selfjoin_binary300_vec")
+          metered ~pool:p ~engine:Veval.Vec (tag "selfjoin_binary300_vec")
             (Lazy.force selfjoin300_q);
         ]
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* Kernel rows allocate multi-megabyte arrays straight into the major
    heap; under default GC pacing their measured cost is dominated by the
@@ -443,19 +422,16 @@ let measure b =
 
 (* One governed run per evaluator bench, outside the timing loops, to fold
    a per-query telemetry summary (steps, spans, peak support, memo counts)
-   into the report. *)
-let telemetry_field b =
-  match b.jquery with
-  | None -> "null"
-  | Some q ->
+   and the memo hit rate into the report.  Memo tables are per run, so one
+   run's rate is every run's. *)
+let telemetry_run b =
+  Option.map
+    (fun q ->
       let t = Telemetry.create () in
-      (if b.jengine = "vec" then
-         match Veval.run ~telemetry:t (Eval.env_of_list []) q with
-         | Ok _ | Error _ -> ()
-       else
-         match Eval.run ~telemetry:t (Eval.env_of_list []) q with
-         | Ok _ | Error _ -> ());
-      Telemetry.summary_json t
+      let engine = Option.get (Veval.engine_of_string b.jengine) in
+      ignore (Veval.run_engine engine ~telemetry:t (Eval.env_of_list []) q);
+      t)
+    b.jquery
 
 let run_json ?pool () =
   let out = "BENCH_eval.json" in
@@ -465,16 +441,19 @@ let run_json ?pool () =
         let median, alloc, (p50, p90, p99) = measure b in
         Printf.printf "  %-28s %12.0f ns/run  %10.0f words/run\n%!" b.jname
           median alloc;
+        let t = telemetry_run b in
         (* null means "this bench has no memo table at all"; a bench that
            has one but never consulted it reports an honest 0.0000. *)
         let memo =
-          match b.jmeters with
-          | None -> "null"
-          | Some m ->
-              let total = m.Eval.memo_hits + m.Eval.memo_misses in
-              if total = 0 then "0.0000"
-              else
-                Printf.sprintf "%.4f" (float m.Eval.memo_hits /. float total)
+          match t with
+          | Some t when b.jmemo ->
+              let hits = ref 0 and total = ref 0 in
+              Telemetry.iter t (fun sp ->
+                  hits := !hits + sp.Telemetry.memo_hits;
+                  total := !total + sp.Telemetry.memo_hits + sp.Telemetry.memo_misses);
+              if !total = 0 then "0.0000"
+              else Printf.sprintf "%.4f" (float !hits /. float !total)
+          | _ -> "null"
         in
         Printf.sprintf
           "    {\"name\": \"%s\", \"engine\": \"%s\", \"median_ns\": %.1f, \
@@ -482,8 +461,9 @@ let run_json ?pool () =
            \"p90_ns\": %.0f, \"p99_ns\": %.0f, \
            \"alloc_words_per_run\": %.1f, \"memo_hit_rate\": %s, \
            \"telemetry\": %s}"
-          (json_escape b.jname) (json_escape b.jengine) median p50 p90 p99
-          alloc memo (telemetry_field b))
+          (Obs.json_escape b.jname) (Obs.json_escape b.jengine) median p50 p90 p99
+          alloc memo
+          (match t with Some t -> Telemetry.summary_json t | None -> "null"))
       (json_benches ?pool ())
   in
   let oc = open_out out in

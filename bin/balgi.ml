@@ -335,47 +335,47 @@ let run_explain db_path engine optimize analyze calibration calibration_out
           (Printexc.to_string exn);
         e
   in
+  let env = Bagdb.value_env db in
   let explain () =
-    if analyze then begin
+    if analyze then
       (* EXPLAIN ANALYZE: measured vs estimated rows per operator, and
          optionally the calibration table the comparison induces *)
-      let v, an =
-        Explain.analyze ~env:(Bagdb.value_env db) ~vals:(db_vals db)
-          ~tenv:(Bagdb.type_env db) ~engine e
-      in
-      print_string (Explain.analysis_to_string an);
-      (match calibration_out with
-      | None -> ()
-      | Some path -> (
-          match Calib.save path (Explain.calibration_of an) with
-          | Ok () -> Printf.printf "calibration written to %s\n" path
-          | Error msg ->
-              Printf.eprintf "cannot write calibration %s: %s\n" path msg));
-      v
-    end
+      Explain.analyze ~env ~vals:(db_vals db) ~tenv:(Bagdb.type_env db)
+        ~engine e
+      |> Result.map (fun (v, an) ->
+             print_string (Explain.analysis_to_string an);
+             (match calibration_out with
+             | None -> ()
+             | Some path -> (
+                 match Calib.save path (Explain.calibration_of an) with
+                 | Ok () -> Printf.printf "calibration written to %s\n" path
+                 | Error msg ->
+                     Printf.eprintf "cannot write calibration %s: %s\n" path
+                       msg));
+             v)
     else
       match engine with
       | Veval.Tree ->
-          let v, profile = Explain.run ~env:(Bagdb.value_env db) e in
-          print_string (Explain.profile_to_string profile);
-          v
+          (* the governed run's span tree, as eval --stats prints it *)
+          let t = Telemetry.create () in
+          let r = Eval.run ~telemetry:t env e in
+          print_string (Telemetry.to_string t);
+          r
       | Veval.Vec ->
           (* the vec engine's profile is its executed plan: which subtrees
              ran a columnar kernel and which fell back to the tree path *)
-          let v, plan = Explain.run_vec ~env:(Bagdb.value_env db) e in
-          print_string (Veval.plan_to_string plan);
-          v
+          Veval.run ~report:(fun p -> print_string (Veval.plan_to_string p)) env e
   in
   match explain () with
-  | v ->
+  | Ok v ->
       Printf.printf "result: %s\n" (Value.to_string v);
       0
+  | Error x ->
+      Printf.eprintf "%s\n" (Budget.exhaustion_to_string x);
+      2
   | exception Eval.Eval_error msg ->
       Printf.eprintf "evaluation error: %s\n" msg;
       1
-  | exception Eval.Resource_limit msg ->
-      Printf.eprintf "tractability guard: %s\n" msg;
-      2
 
 let run_repl db_path opts =
   let* () = apply_faults opts in
@@ -790,12 +790,14 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain"
        ~doc:
-         "Evaluate with profiling: per-operator call counts and largest \
-          intermediate bag sizes ($(b,--engine tree)), or the executed \
-          engine plan ($(b,--engine vec)).  $(b,--analyze) adds measured \
-          vs estimated rows per operator and can emit a calibration file \
-          ($(b,--calibration-out)) that feeds the cost model back \
-          ($(b,--calibration) / $(b,BALG_CALIB)).")
+         "Evaluate with profiling: the governed run's per-operator span \
+          tree — calls, steps and peak support, as $(b,eval --stats) prints \
+          it ($(b,--engine tree)) — or the executed engine plan \
+          ($(b,--engine vec)).  Budget verdicts end with status 2, as in \
+          $(b,eval).  \
+          $(b,--analyze) adds measured vs estimated rows per operator and \
+          can emit a calibration file ($(b,--calibration-out)) that feeds \
+          the cost model back ($(b,--calibration) / $(b,BALG_CALIB)).")
     Term.(
       const run_explain $ db_arg $ engine_arg $ optimize_arg
       $ analyze_flag_arg $ calibration_arg $ calibration_out_arg $ query_arg)

@@ -23,7 +23,10 @@ let ledger =
     ]
 
 let env = Eval.env_of_list [ ("Sales", ledger) ]
-let eval e = Eval.eval env e
+let eval e =
+  match Eval.run env e with
+  | Ok v -> v
+  | Error x -> failwith (Budget.exhaustion_to_string x)
 let nat_of e = Bignat.to_int_exn (Value.nat_value (eval e))
 
 let () =

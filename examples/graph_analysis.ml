@@ -22,7 +22,10 @@ let flights =
     ]
 
 let env = Eval.env_of_list [ ("F", flights) ]
-let eval e = Eval.eval env e
+let eval e =
+  match Eval.run env e with
+  | Ok v -> v
+  | Error x -> failwith (Budget.exhaustion_to_string x)
 let g = Expr.Var "F"
 
 let () =

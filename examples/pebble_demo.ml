@@ -20,10 +20,11 @@ let () =
 
   (* the distinguishing bag query *)
   let run graph =
-    Eval.truthy
-      (Eval.eval
-         (Eval.env_of_list [ ("G", C.edges_value graph) ])
-         (C.phi_query graph))
+    match
+      Eval.run (Eval.env_of_list [ ("G", C.edges_value graph) ]) (C.phi_query graph)
+    with
+    | Ok v -> Eval.truthy v
+    | Error x -> failwith (Budget.exhaustion_to_string x)
   in
   Printf.printf "BALG^2 query 'indeg(alpha) > outdeg(alpha)':\n";
   Printf.printf "  on G  (balanced): %b\n" (run g6);

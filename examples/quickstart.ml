@@ -23,7 +23,14 @@ let () =
   (* 2. Queries via the AST.  The database binds variable names to bags. *)
   let db = [ ("Fruit", fruit) ] in
   let env = Eval.env_of_list db in
-  let eval e = Eval.eval env e in
+  (* [Eval.run] evaluates under a resource governor (Budget.default here)
+     and returns a structured verdict instead of raising when it trips. *)
+  let eval_in env e =
+    match Eval.run env e with
+    | Ok v -> v
+    | Error x -> failwith (Budget.exhaustion_to_string x)
+  in
+  let eval = eval_in env in
 
   show "dedup" "dedup(Fruit)" (eval (Expr.Dedup (Expr.Var "Fruit")));
   show "self-union" "Fruit ++ Fruit" (eval Expr.(Var "Fruit" ++ Var "Fruit"));
@@ -33,9 +40,9 @@ let () =
   (* 3. The powerset: one occurrence of every subbag. *)
   let tiny = Value.bag_of_list [ Value.atom "x"; Value.atom "x" ] in
   show "powerset" "powerset({{'x,'x}})"
-    (Eval.eval (Eval.env_of_list [ ("T", tiny) ]) (Expr.Powerset (Expr.Var "T")));
+    (eval_in (Eval.env_of_list [ ("T", tiny) ]) (Expr.Powerset (Expr.Var "T")));
   show "powerbag" "powerbag({{'x,'x}})"
-    (Eval.eval (Eval.env_of_list [ ("T", tiny) ]) (Expr.Powerbag (Expr.Var "T")));
+    (eval_in (Eval.env_of_list [ ("T", tiny) ]) (Expr.Powerbag (Expr.Var "T")));
   print_newline ();
 
   (* 4. The same pipeline through the surface syntax. *)

@@ -12,6 +12,12 @@ open Balg
 
 let rel1 l = Value.bag_of_list (List.map (fun x -> Value.tuple [ Value.atom x ]) l)
 
+(* Truth of a closed query under the default budget. *)
+let holds q =
+  match Eval.run (Eval.env_of_list []) q with
+  | Ok v -> Eval.truthy v
+  | Error x -> failwith (Budget.exhaustion_to_string x)
+
 let () =
   print_endline "== separations between BALG^1 and the relational algebra ==\n";
 
@@ -20,7 +26,7 @@ let () =
   let s = Expr.lit (rel1 [ "x"; "y" ]) (Ty.relation 1) in
   let q = Derived.card_gt_paper r s in
   Printf.printf "|R|=3 > |S|=2 via pi1(RxR) -- pi1(RxS):  %b\n"
-    (Eval.truthy (Eval.eval (Eval.env_of_list []) q));
+    (holds q);
   Printf.printf "(the same query under set semantics cannot count: the \
                  relational\n algebra has an AC0 upper bound and MAJORITY is \
                  not in AC0)\n\n";
@@ -37,7 +43,7 @@ let () =
           (Expr.lit leq (Ty.relation 2))
       in
       Printf.printf "  |R| = %d  ->  %s\n" (List.length names)
-        (if Eval.truthy (Eval.eval (Eval.env_of_list []) q) then "even" else "odd"))
+        (if holds q then "even" else "odd"))
     [ [ "a" ]; [ "a"; "b" ]; [ "a"; "b"; "c" ]; [ "a"; "b"; "c"; "d" ] ];
   print_newline ();
 
@@ -77,11 +83,10 @@ let () =
         Baggen.Stats.bernoulli ~trials:2000 rng (fun rng ->
             let r = Baggen.Genval.unary_relation rng ~n_atoms:n ~p:0.5 in
             let s = Baggen.Genval.unary_relation rng ~n_atoms:n ~p:0.5 in
-            Eval.truthy
-              (Eval.eval (Eval.env_of_list [])
-                 (Derived.card_gt
-                    (Expr.lit r (Ty.relation 1))
-                    (Expr.lit s (Ty.relation 1)))))
+            holds
+              (Derived.card_gt
+                 (Expr.lit r (Ty.relation 1))
+                 (Expr.lit s (Ty.relation 1))))
       in
       Printf.printf "  n = %3d : mu = %.3f +- %.3f\n" n p se)
     [ 4; 16; 64 ];

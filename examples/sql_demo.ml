@@ -32,7 +32,11 @@ let env = Eval.env_of_list [ ("Orders", orders) ]
 
 let show title q =
   let e = Sql.compile ~tables q in
-  let v = Eval.eval env e in
+  let v =
+    match Eval.run env e with
+    | Ok v -> v
+    | Error x -> failwith (Budget.exhaustion_to_string x)
+  in
   Printf.printf "%s\n  algebra: %s\n  result : %s\n\n" title (Expr.to_string e)
     (Value.to_string v)
 

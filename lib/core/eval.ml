@@ -8,8 +8,7 @@
     step bound and an optional wall-clock deadline, all checked at every
     compiled-closure boundary.  Exhaustion surfaces as a structured
     [Error (Budget.exhaustion)] from {!run}, locating the node where the
-    account ran dry; the legacy {!eval} entry point converts it to the
-    historical {!Resource_limit} exception.
+    account ran dry.
 
     The expression is {e compiled} to a closure tree before evaluation:
     each node gets a stable preorder id (the attribution key shared by the
@@ -18,7 +17,7 @@
     per element, nor by a fixpoint binder that changes every iteration) are
     backed by a memo table keyed by (node id, fingerprint of the free-var
     bindings).  [Fix]/[BFix] iteration and repeated [Let]-bound subqueries
-    then hit cache instead of re-evaluating; the meters record hit/miss
+    then hit cache instead of re-evaluating; the spans record hit/miss
     counts.
 
     [P]/[Pb] are charged for their {e expected} output support — the
@@ -27,51 +26,19 @@
     nesting is cut off by the fuel or support budget without allocating
     the intermediate bag.
 
-    The evaluator also carries {e meters} recording the largest
-    intermediate bag support and multiplicity seen; the complexity
-    experiments (E10, E11, E15) read the growth shapes claimed by Theorems
-    4.4, 5.1 and 6.2 off these meters. *)
+    With a {!Telemetry} sink attached, every span records the largest
+    result support, multiplicity and cardinality its node produced; the
+    complexity experiments (E10, E11, E15) read the growth shapes claimed
+    by Theorems 4.4, 5.1 and 6.2 off these peaks, and [balgi explain] is a
+    view over the same spans.
+
+    The per-node accounting below ([spend], [observe], [power_guard], the
+    instrumented invocation and the run epilogue) is shared with {!Veval},
+    which compiles to the same {!state}. *)
 
 exception Eval_error of string
-exception Resource_limit of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Eval_error s)) fmt
-
-type config = {
-  max_support : int;  (** bound on distinct elements per bag *)
-  max_count_digits : int;  (** bound on decimal digits of any multiplicity *)
-  max_fix_steps : int;  (** bound on fixpoint iterations *)
-}
-
-let default_config =
-  { max_support = 2_000_000; max_count_digits = 10_000; max_fix_steps = 100_000 }
-
-let limits_of_config c =
-  {
-    Budget.unlimited with
-    Budget.max_support = c.max_support;
-    max_count_digits = c.max_count_digits;
-    max_fix_steps = c.max_fix_steps;
-  }
-
-type meters = {
-  mutable max_support_seen : int;
-  mutable max_count_seen : Bignat.t;
-  mutable max_cardinal_seen : Bignat.t;
-  mutable ops : int;
-  mutable memo_hits : int;
-  mutable memo_misses : int;
-}
-
-let fresh_meters () =
-  {
-    max_support_seen = 0;
-    max_count_seen = Bignat.zero;
-    max_cardinal_seen = Bignat.zero;
-    ops = 0;
-    memo_hits = 0;
-    memo_misses = 0;
-  }
 
 module Env = Map.Make (String)
 
@@ -85,7 +52,6 @@ let env_of_list l = List.fold_left (fun m (x, v) -> Env.add x v m) Env.empty l
 
 type state = {
   budget : Budget.t;  (** shared across domains; accounts are atomic *)
-  meters : meters;  (** owned by this state; merged at parallel joins *)
   run_id : int;  (** keys the per-domain memo tables *)
   telemetry : Telemetry.t option;  (** the sink, when one is attached *)
   shard : Telemetry.shard option;
@@ -100,11 +66,22 @@ type state = {
           trace-side mirror of the telemetry steps == fuel invariant).
           The cell is dynamically scoped — states are domain-private, so
           a plain ref suffices. *)
+  mutable peak_support : int;
+      (** the governor's own peaks, merged at parallel joins:
+          [peak_support] feeds the per-run metric, [peak_count] gates the
+          count-digit check to new peaks ([Bignat.digits] prints) *)
+  mutable peak_count : Bignat.t;
 }
 
-(* Attribution of one compiled node: its preorder id, operator label, and
-   (when a sink is attached) its telemetry span. *)
 type att = { id : int; op : string; sp : Telemetry.span option }
+
+let attribute telemetry ~parent ~id ~op =
+  let sp =
+    match telemetry with
+    | Some t -> Some (Telemetry.register t ~parent ~id ~op)
+    | None -> None
+  in
+  { id; op; sp }
 
 (* The span to record into for this state: the registered tree span on the
    main domain, the task's shard span inside a parallel task. *)
@@ -117,7 +94,7 @@ let span_of st att sp_main =
    boundary — the finest-grained place evaluation can die — published as a
    located [Injected] verdict at the charging node.  The check precedes
    the telemetry mirror so a firing site records no steps it did not pay
-   fuel for. *)
+   fuel for.  Both engines charge through here: one site, one knob. *)
 let step_site = Fault.register "eval.step"
 
 (* Every unit of fuel charged to the governor is mirrored into the node's
@@ -138,56 +115,96 @@ let spend st att n =
   st.obs_cell := !(st.obs_cell) + n;
   Budget.charge st.budget ~node:att.id ~op:att.op n
 
-(* Meter the result, enforce the per-value budgets, and charge fuel
-   proportional to the materialised support. *)
+(* Enforce the per-value budgets on a boxed result, record it in the span,
+   and charge fuel proportional to the materialised support.  The
+   cardinality is only computed for a sink. *)
 let observe st att v =
-  let m = st.meters in
-  m.ops <- m.ops + 1;
   (match Value.view v with
   | Value.Bag pairs ->
-      (* One walk for all three measures; the cardinal stays in machine
-         arithmetic until a count (or the sum) leaves [int] range. *)
       let support = ref 0 in
       let mc = ref Bignat.zero in
-      let icard = ref 0 in
       List.iter
         (fun (_, c) ->
           incr support;
-          if Bignat.compare c !mc > 0 then mc := c;
-          if !icard >= 0 then
-            icard :=
-              (match Bignat.to_int_opt c with
-              | Some n ->
-                  let s = !icard + n in
-                  if s < 0 then -1 else s
-              | None -> -1))
+          if Bignat.compare c !mc > 0 then mc := c)
         pairs;
       let support = !support and mc = !mc in
-      if support > m.max_support_seen then m.max_support_seen <- support;
+      if support > st.peak_support then st.peak_support <- support;
       Budget.check_support st.budget ~node:att.id ~op:att.op support;
-      if Bignat.compare mc m.max_count_seen > 0 then begin
-        m.max_count_seen <- mc;
+      if Bignat.compare mc st.peak_count > 0 then begin
+        st.peak_count <- mc;
         Budget.check_count_digits st.budget ~node:att.id ~op:att.op
           (Bignat.digits mc)
       end;
-      let card =
-        if !icard >= 0 then Bignat.of_int !icard else Value.cardinal v
-      in
-      if Bignat.compare card m.max_cardinal_seen > 0 then
-        m.max_cardinal_seen <- card;
       let size = Value.size_tag v in
       Budget.check_size st.budget ~node:att.id ~op:att.op size;
       (match att.sp with
-      | Some sp -> Telemetry.record_result (span_of st att sp) ~support ~size
+      | Some sp ->
+          Telemetry.record_result (span_of st att sp) ~support ~size ~count:mc
+            ~cardinal:(Value.cardinal v)
       | None -> ());
       spend st att support
   | Value.Atom _ | Value.Tuple _ -> (
       let size = Value.size_tag v in
       Budget.check_size st.budget ~node:att.id ~op:att.op size;
       match att.sp with
-      | Some sp -> Telemetry.record_result (span_of st att sp) ~support:0 ~size
+      | Some sp ->
+          Telemetry.record_result (span_of st att sp) ~support:0 ~size
+            ~count:Bignat.zero ~cardinal:Bignat.zero
       | None -> ()));
   v
+
+(* One node invocation with its instruments: the trace begin/end events
+   around a fresh self-steps cell (balanced on the exception path too, so
+   an exhausted or faulted run still exports a well-formed trace) and,
+   with a sink, the span's invocation count plus inclusive wall time and
+   allocation.  Engines call this only when [Obs.on] or a span is
+   attached; their uninstrumented path is [spend]; [observe (raw ...)]
+   inline, so the hot path pays no extra indirect call. *)
+let invoke_instrumented ~observe st att raw env =
+  let traced = Obs.on () in
+  let saved = st.obs_cell in
+  if traced then begin
+    if Obs.on () then Obs.emit Obs.B ~cat:"eval" ~name:att.op ~args:[ ("node", Obs.Int att.id) ];
+    st.obs_cell <- ref 0
+  end;
+  let close () =
+    if traced then begin
+      let cell = st.obs_cell in
+      st.obs_cell <- saved;
+      if Obs.on () then Obs.emit Obs.E ~cat:"eval" ~name:att.op ~args:[ ("node", Obs.Int att.id); ("steps", Obs.Int !cell) ]
+    end
+  in
+  match
+    spend st att 1;
+    match att.sp with
+    | None -> observe st att (raw st env)
+    | Some sp_main -> (
+        let sp = span_of st att sp_main in
+        sp.Telemetry.invocations <- sp.Telemetry.invocations + 1;
+        let t0 = Unix.gettimeofday () in
+        let a0 = Gc.allocated_bytes () in
+        let finish () =
+          sp.Telemetry.time_s <-
+            sp.Telemetry.time_s +. (Unix.gettimeofday () -. t0);
+          sp.Telemetry.alloc_words <-
+            sp.Telemetry.alloc_words
+            +. ((Gc.allocated_bytes () -. a0) /. float (Sys.word_size / 8))
+        in
+        match raw st env with
+        | v ->
+            finish ();
+            observe st att v
+        | exception exn ->
+            finish ();
+            raise exn)
+  with
+  | v ->
+      close ();
+      v
+  | exception exn ->
+      close ();
+      raise exn
 
 (* Keep the table from growing without bound inside huge fixpoints; a reset
    loses cached work but never correctness. *)
@@ -237,19 +254,8 @@ type reg = { ctr : int ref; telemetry : Telemetry.t option }
 let par_pool st =
   match st.pool with Some p when Pool.jobs p > 1 -> Some p | _ -> None
 
-let merge_meters dst src =
-  if src.max_support_seen > dst.max_support_seen then
-    dst.max_support_seen <- src.max_support_seen;
-  if Bignat.compare src.max_count_seen dst.max_count_seen > 0 then
-    dst.max_count_seen <- src.max_count_seen;
-  if Bignat.compare src.max_cardinal_seen dst.max_cardinal_seen > 0 then
-    dst.max_cardinal_seen <- src.max_cardinal_seen;
-  dst.ops <- dst.ops + src.ops;
-  dst.memo_hits <- dst.memo_hits + src.memo_hits;
-  dst.memo_misses <- dst.memo_misses + src.memo_misses
-
 (* Run [tasks] (closures over a fresh child state each) on the pool and
-   join.  Child meters and telemetry shards merge into [st] whether the
+   join.  Child peaks and telemetry shards merge into [st] whether the
    task succeeded or not — fuel spent on a failed branch is still fuel
    spent, and the steps == fuel invariant must survive exhaustion.
    Failure combination is deterministic: a non-budget exception from the
@@ -262,7 +268,6 @@ let par_run (st : state) p (tasks : (state -> 'a) list) : 'a list =
         let c =
           {
             st with
-            meters = fresh_meters ();
             obs_cell = ref 0;
             shard =
               (match st.telemetry with
@@ -294,7 +299,9 @@ let par_run (st : state) p (tasks : (state -> 'a) list) : 'a list =
   let results = Pool.run p (List.map snd children) in
   List.iter
     (fun (c, _) ->
-      merge_meters st.meters c.meters;
+      if c.peak_support > st.peak_support then st.peak_support <- c.peak_support;
+      if Bignat.compare c.peak_count st.peak_count > 0 then
+        st.peak_count <- c.peak_count;
       match c.shard with
       | None -> ()
       | Some src -> (
@@ -348,76 +355,38 @@ let power_guard st att b =
   Budget.check_support st.budget ~node:att.id ~op:att.op n;
   spend st att n
 
+(* Inflationary iteration: X ↦ (step(X) ∪ X) [∩ bound].  With a bound the
+   chain is increasing and bounded, hence terminating; without one the step
+   budget applies (BALG + IFP is Turing complete, Thm 6.6).  The stability
+   check benefits from the hash tags: unequal iterates refute in O(1).
+   Both engines iterate here, on boxed values. *)
+let iterate st att ~bound step seed =
+  let clamp v = match bound with None -> v | Some b -> Bag.inter v b in
+  let rec go steps current =
+    Budget.check_fix_steps st.budget ~node:att.id ~op:att.op steps;
+    Budget.check_deadline st.budget ~node:att.id ~op:att.op;
+    let next = clamp (Bag.union_max (step current) current) in
+    if Value.equal next current then current else go (steps + 1) next
+  in
+  go 0 (clamp seed)
+
 (* [volatile] holds the binders whose bindings change per element or per
    fixpoint iteration; nodes mentioning them would only churn the table. *)
 let rec compile reg ~parent volatile e : compiled =
   incr reg.ctr;
   let id = !(reg.ctr) in
-  let op = Expr.op_name e in
-  let sp =
-    match reg.telemetry with
-    | Some t -> Some (Telemetry.register t ~parent ~id ~op)
-    | None -> None
-  in
-  let att = { id; op; sp } in
+  let att = attribute reg.telemetry ~parent ~id ~op:(Expr.op_name e) in
   let raw = compile_node reg ~att volatile e in
   let invoke =
-    match sp with
+    match att.sp with
     | None ->
         fun st env ->
-          spend st att 1;
-          observe st att (raw st env)
-    | Some sp_main ->
-        (* Inclusive wall time and allocation per span; only paid when a
-           telemetry sink is attached.  The span is resolved per call: the
-           registered tree span on the main domain, the task shard inside
-           a parallel region. *)
-        fun st env ->
-          spend st att 1;
-          let sp = span_of st att sp_main in
-          sp.Telemetry.invocations <- sp.Telemetry.invocations + 1;
-          let t0 = Unix.gettimeofday () in
-          let a0 = Gc.allocated_bytes () in
-          let finish () =
-            sp.Telemetry.time_s <-
-              sp.Telemetry.time_s +. (Unix.gettimeofday () -. t0);
-            sp.Telemetry.alloc_words <-
-              sp.Telemetry.alloc_words
-              +. ((Gc.allocated_bytes () -. a0)
-                 /. float (Sys.word_size / 8))
-          in
-          (match raw st env with
-          | v ->
-              finish ();
-              observe st att v
-          | exception exn ->
-              finish ();
-              raise exn)
-  in
-  (* Trace events per invocation, only when capture is on: a begin event,
-     a fresh self-steps cell for the duration, and an end event carrying
-     the fuel this node (not its children) charged — balanced on the
-     exception path too, so an exhausted or faulted run still exports a
-     well-formed trace.  Disarmed cost: the one [Obs.on] load + branch. *)
-  let invoke st env =
-    if not (Obs.on ()) then invoke st env
-    else begin
-      if Obs.on () then Obs.emit Obs.B ~cat:"eval" ~name:op ~args:[ ("node", Obs.Int id) ];
-      let saved = st.obs_cell in
-      let cell = ref 0 in
-      st.obs_cell <- cell;
-      let close () =
-        st.obs_cell <- saved;
-        if Obs.on () then Obs.emit Obs.E ~cat:"eval" ~name:op ~args:[ ("node", Obs.Int id); ("steps", Obs.Int !cell) ]
-      in
-      match invoke st env with
-      | v ->
-          close ();
-          v
-      | exception exn ->
-          close ();
-          raise exn
-    end
+          if Obs.on () then invoke_instrumented ~observe st att raw env
+          else begin
+            spend st att 1;
+            observe st att (raw st env)
+          end
+    | Some _ -> fun st env -> invoke_instrumented ~observe st att raw env
   in
   let memoisable =
     match e with
@@ -432,9 +401,8 @@ let rec compile reg ~parent volatile e : compiled =
       let vals = List.map (fun x -> Env.find_opt x env) fv in
       let key = (id, fingerprint vals) in
       let hit r =
-        st.meters.memo_hits <- st.meters.memo_hits + 1;
         spend st att 1;
-        (match sp with
+        (match att.sp with
         | Some sp_main ->
             let sp = span_of st att sp_main in
             sp.Telemetry.invocations <- sp.Telemetry.invocations + 1;
@@ -443,8 +411,7 @@ let rec compile reg ~parent volatile e : compiled =
         r
       in
       let compute () =
-        st.meters.memo_misses <- st.meters.memo_misses + 1;
-        (match sp with
+        (match att.sp with
         | Some sp_main -> Telemetry.record_memo_miss (span_of st att sp_main)
         | None -> ());
         invoke st env
@@ -629,133 +596,130 @@ and compile_node reg ~att volatile e : compiled =
       fun st env -> cbody st (Env.add x (c st env) env)
   | Expr.Fix (x, body, seed) ->
       let cbody = under x body and cseed = sub seed in
-      fun st env -> iterate st att env ~x ~cbody ~bound:None (cseed st env)
+      fun st env ->
+        iterate st att ~bound:None (fun v -> cbody st (Env.add x v env)) (cseed st env)
   | Expr.BFix (bound, x, body, seed) ->
       let cbound = sub bound and cbody = under x body and cseed = sub seed in
       fun st env ->
         let bound = cbound st env in
-        iterate st att env ~x ~cbody ~bound:(Some bound) (cseed st env)
-
-(* Inflationary iteration: X ↦ (body(X) ∪ X) [∩ bound].  With a bound the
-   chain is increasing and bounded, hence terminating; without one the step
-   budget applies (BALG + IFP is Turing complete, Thm 6.6).  The stability
-   check benefits from the hash tags: unequal iterates refute in O(1). *)
-and iterate st att env ~x ~cbody ~bound current =
-  let clamp v = match bound with None -> v | Some b -> Bag.inter v b in
-  let rec go steps current =
-    Budget.check_fix_steps st.budget ~node:att.id ~op:att.op steps;
-    Budget.check_deadline st.budget ~node:att.id ~op:att.op;
-    let stepped = cbody st (Env.add x current env) in
-    let next = clamp (Bag.union_max stepped current) in
-    if Value.equal next current then current else go (steps + 1) next
-  in
-  go 0 (clamp current)
+        iterate st att ~bound:(Some bound)
+          (fun v -> cbody st (Env.add x v env))
+          (cseed st env)
 
 (* ------------------------------------------------------------------ *)
 (* Entry points. *)
 
-(* Distinct run ids recycle the per-domain memo tables between runs. *)
-let run_ids = Atomic.make 1
+type run_metrics = {
+  runs : Metrics.counter;
+  ok : Metrics.counter;
+  verdicts : Metrics.counter;
+  fuel : Metrics.histogram;
+  run_ns : Metrics.histogram;
+  peak_support : Metrics.histogram option;
+}
 
-let m_runs = Metrics.counter Metrics.default "balg_eval_runs_total"
-    ~help:"Evaluations started"
-
-let m_ok = Metrics.counter Metrics.default "balg_eval_ok_total"
-    ~help:"Evaluations that returned a value"
-
-let m_verdicts = Metrics.counter Metrics.default "balg_eval_verdicts_total"
-    ~help:"Evaluations that ended in a structured exhaustion verdict"
-
-let m_fuel = Metrics.histogram Metrics.default "balg_eval_fuel"
-    ~help:"Fuel spent per evaluation"
-
-let m_run_ns = Metrics.histogram Metrics.default "balg_eval_run_ns"
-    ~help:"Wall time per evaluation in nanoseconds"
-
-let m_peak_support = Metrics.histogram Metrics.default
-    "balg_eval_peak_support"
-    ~help:"Largest intermediate bag support per evaluation"
+let metrics =
+  let r = Metrics.default in
+  {
+    runs = Metrics.counter r "balg_eval_runs_total" ~help:"Evaluations started";
+    ok =
+      Metrics.counter r "balg_eval_ok_total"
+        ~help:"Evaluations that returned a value";
+    verdicts =
+      Metrics.counter r "balg_eval_verdicts_total"
+        ~help:"Evaluations that ended in a structured exhaustion verdict";
+    fuel = Metrics.histogram r "balg_eval_fuel" ~help:"Fuel spent per evaluation";
+    run_ns =
+      Metrics.histogram r "balg_eval_run_ns"
+        ~help:"Wall time per evaluation in nanoseconds";
+    peak_support =
+      Some
+        (Metrics.histogram r "balg_eval_peak_support"
+           ~help:"Largest intermediate bag support per evaluation");
+  }
 
 (* Close the run's trace span and record its metrics — on every exit path,
    verdicts included: the final instant event carries the outcome and the
    spent fuel, which is what scripts/check_trace.sh reconciles against the
    per-node step counts. *)
-let finish_run st t0 outcome_args =
-  Metrics.observe m_fuel (Budget.fuel_spent st.budget);
-  Metrics.observe m_run_ns
-    (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
-  Metrics.observe m_peak_support st.meters.max_support_seen;
+let finish_run m st t0 outcome_args =
+  Metrics.observe m.fuel (Budget.fuel_spent st.budget);
+  Metrics.observe m.run_ns (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
+  Option.iter (fun h -> Metrics.observe h st.peak_support) m.peak_support;
   if Obs.on () then Obs.emit Obs.E ~cat:"eval" ~name:"run" ~args:[ ("steps", Obs.Int !(st.obs_cell)) ];
   if Obs.on () then Obs.emit Obs.I ~cat:"eval" ~name:"done" ~args:(("fuel", Obs.Int (Budget.fuel_spent st.budget)) :: outcome_args)
 
-let verdict_args (x : Budget.exhaustion) =
-  [
-    ("outcome", Obs.Str "verdict");
-    ("resource", Obs.Str (Budget.resource_to_string x.Budget.resource));
-    ("node", Obs.Int x.Budget.at_node);
-    ("op", Obs.Str x.Budget.op);
-  ]
+let verdict m st t0 (x : Budget.exhaustion) =
+  Metrics.incr m.verdicts;
+  finish_run m st t0
+    [
+      ("outcome", Obs.Str "verdict");
+      ("resource", Obs.Str (Budget.resource_to_string x.Budget.resource));
+      ("node", Obs.Int x.Budget.at_node);
+      ("op", Obs.Str x.Budget.op);
+    ];
+  Error x
 
-let run ?budget ?limits ?meters ?telemetry ?pool env e =
+(* Distinct run ids recycle the per-domain memo tables between runs. *)
+let run_ids = Atomic.make 1
+
+let govern m ?budget ?limits ?telemetry ?pool ?engine e f =
   let budget =
     match (budget, limits) with
     | Some b, _ -> b
     | None, Some l -> Budget.start l
     | None, None -> Budget.start Budget.default
   in
-  let meters = match meters with Some m -> m | None -> fresh_meters () in
-  let compiled = compile { ctr = ref 0; telemetry } ~parent:0 Expr.Vars.empty e in
   let st =
     {
       budget;
-      meters;
       run_id = Atomic.fetch_and_add run_ids 1;
       telemetry;
       shard = None;
       pool;
       obs_cell = ref 0;
+      peak_support = 0;
+      peak_count = Bignat.zero;
     }
   in
-  Metrics.incr m_runs;
+  Metrics.incr m.runs;
   let t0 = Unix.gettimeofday () in
   if Obs.on () then Obs.set_trace_id st.run_id;
-  if Obs.on () then Obs.emit Obs.B ~cat:"eval" ~name:"run" ~args:[ ("run", Obs.Int st.run_id); ("size", Obs.Int (Expr.size e)) ];
-  match compiled st env with
+  let engine_arg =
+    match engine with Some name -> [ ("engine", Obs.Str name) ] | None -> []
+  in
+  if Obs.on () then Obs.emit Obs.B ~cat:"eval" ~name:"run" ~args:(("run", Obs.Int st.run_id) :: ("size", Obs.Int (Expr.size e)) :: engine_arg);
+  match f st with
   | v ->
-      Metrics.incr m_ok;
-      finish_run st t0 [ ("outcome", Obs.Str "ok") ];
+      Metrics.incr m.ok;
+      finish_run m st t0 [ ("outcome", Obs.Str "ok") ];
       Ok v
   | exception Budget.Budget_exceeded x ->
       (* Under parallel evaluation the propagated exception is whichever
          domain's raise won the race; the published verdict is kept at the
          smallest node id, so report that one. *)
-      let x = match Budget.verdict budget with Some y -> y | None -> x in
-      Metrics.incr m_verdicts;
-      finish_run st t0 (verdict_args x);
-      Error x
+      verdict m st t0
+        (match Budget.verdict st.budget with Some y -> y | None -> x)
   | exception Fault.Injected site ->
       (* An injected failure below the evaluator's attribution (a kernel
          allocation point, a pool task): structured verdict at node 0 —
          "before/outside any node" — carrying the site name.  The faults
          the evaluator can locate (eval.step) arrive as Budget_exceeded
          above instead. *)
-      let x =
+      verdict m st t0
         { Budget.resource = Budget.Injected; at_node = 0; op = site;
           spent = 0; limit = 0 }
-      in
-      Metrics.incr m_verdicts;
-      finish_run st t0 (verdict_args x);
-      Error x
   | exception exn ->
       (* A caller bug (Eval_error, ...) still closes the trace span before
          propagating, so the export stays balanced. *)
-      finish_run st t0 [ ("outcome", Obs.Str "exception") ];
+      finish_run m st t0 [ ("outcome", Obs.Str "exception") ];
       raise exn
 
-let eval ?(config = default_config) ?meters ?pool env e =
-  match run ~limits:(limits_of_config config) ?meters ?pool env e with
-  | Ok v -> v
-  | Error x -> raise (Resource_limit (Budget.exhaustion_to_string x))
+let run ?budget ?limits ?telemetry ?pool env e =
+  let compiled =
+    compile { ctr = ref 0; telemetry } ~parent:0 Expr.Vars.empty e
+  in
+  govern metrics ?budget ?limits ?telemetry ?pool e (fun st -> compiled st env)
 
 (** Boolean convention for queries: a result is true when the output bag is
     nonempty (cf. Example 4.1's [≠ ∅] tests). *)

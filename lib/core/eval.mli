@@ -6,41 +6,13 @@
     under configurable resource limits — step fuel, per-bag support,
     encoded size, multiplicity digits, fixpoint steps, wall-clock deadline
     — checked at every compiled-closure boundary.  {!run} reports
-    exhaustion as a structured [Error] locating the node that ran dry;
-    the legacy {!eval} raises {!Resource_limit} instead.  {!meters} record
-    the largest intermediate support, multiplicity and cardinality seen —
-    the observable the complexity experiments measure — and an optional
-    {!Telemetry.t} sink collects a per-operator span tree. *)
+    exhaustion as a structured [Error] locating the node that ran dry.  An
+    optional {!Telemetry.t} sink collects a per-operator span tree whose
+    peaks — the largest intermediate support, multiplicity and cardinality
+    per node — are the observable the complexity experiments measure and
+    the figures [balgi explain] prints. *)
 
 exception Eval_error of string
-
-exception Resource_limit of string
-(** Raised by the legacy {!eval} wrapper; {!run} never raises it. *)
-
-type config = {
-  max_support : int;  (** bound on distinct elements per bag *)
-  max_count_digits : int;  (** bound on decimal digits of any multiplicity *)
-  max_fix_steps : int;  (** bound on fixpoint iterations *)
-}
-
-val default_config : config
-
-val limits_of_config : config -> Budget.limits
-(** The legacy three-knob guard as governor limits (fuel, size and
-    deadline unlimited). *)
-
-type meters = {
-  mutable max_support_seen : int;
-  mutable max_count_seen : Bignat.t;
-  mutable max_cardinal_seen : Bignat.t;
-  mutable ops : int;
-  mutable memo_hits : int;
-      (** stable subexpressions answered from the memo table *)
-  mutable memo_misses : int;
-      (** memoisable subexpressions that had to be computed *)
-}
-
-val fresh_meters : unit -> meters
 
 module Env : Map.S with type key = string
 
@@ -51,7 +23,6 @@ val env_of_list : (string * Value.t) list -> env
 val run :
   ?budget:Budget.t ->
   ?limits:Budget.limits ->
-  ?meters:meters ->
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
   env ->
@@ -79,12 +50,86 @@ val run :
     smallest exhausting node id for determinism.
     @raise Eval_error on dynamic type errors or unbound variables. *)
 
-val eval :
-  ?config:config -> ?meters:meters -> ?pool:Pool.t -> env -> Expr.t -> Value.t
-(** Legacy entry point: {!run} under {!limits_of_config}.
-    @raise Eval_error on dynamic type errors or unbound variables.
-    @raise Resource_limit when the governor trips. *)
-
 val truthy : Value.t -> bool
 (** The boolean convention of the paper's example queries: a bag result is
     true iff nonempty.  @raise Eval_error on non-bag values. *)
+
+(** {1 Engine internals}
+
+    The per-node governance both engines share: {!Veval} compiles to the
+    same {!state} and calls these functions directly, so fuel, fault,
+    observation, trace and run-epilogue behaviour has one definition.
+    Not for use outside the engines. *)
+
+type state = private {
+  budget : Budget.t;
+  run_id : int;
+  telemetry : Telemetry.t option;
+  shard : Telemetry.shard option;
+  pool : Pool.t option;
+  mutable obs_cell : int ref;
+  mutable peak_support : int;
+  mutable peak_count : Bignat.t;
+}
+
+type att = { id : int; op : string; sp : Telemetry.span option }
+(** One compiled node: preorder id, operator label, span when a sink is
+    attached. *)
+
+val attribute :
+  Telemetry.t option -> parent:int -> id:int -> op:string -> att
+(** Attribute a node being compiled, registering its span in the sink. *)
+
+val spend : state -> att -> int -> unit
+(** Charge fuel at a node: the [eval.step] fault site, the span and trace
+    mirrors, then the governor. *)
+
+val observe : state -> att -> Value.t -> Value.t
+(** Check a boxed result against the per-value budgets, record it in the
+    span and charge its support. *)
+
+val too_large : state -> att -> 'a
+(** The located [Support] verdict for an output beyond [int] range. *)
+
+val power_guard : state -> att -> Value.t -> unit
+(** Charge [P]/[Pb] for their expected output before materialising it. *)
+
+val iterate :
+  state -> att -> bound:Value.t option -> (Value.t -> Value.t) -> Value.t -> Value.t
+(** Inflationary iteration from a seed, under the fixpoint and deadline
+    accounts. *)
+
+val invoke_instrumented :
+  observe:(state -> att -> 'a -> 'a) ->
+  state ->
+  att ->
+  (state -> 'e -> 'a) ->
+  'e ->
+  'a
+(** One node invocation with trace events and span timing; engines take
+    this path only when tracing is on or a sink is attached. *)
+
+type run_metrics = {
+  runs : Metrics.counter;
+  ok : Metrics.counter;
+  verdicts : Metrics.counter;
+  fuel : Metrics.histogram;
+  run_ns : Metrics.histogram;
+  peak_support : Metrics.histogram option;
+}
+
+val govern :
+  run_metrics ->
+  ?budget:Budget.t ->
+  ?limits:Budget.limits ->
+  ?telemetry:Telemetry.t ->
+  ?pool:Pool.t ->
+  ?engine:string ->
+  Expr.t ->
+  (state -> 'a) ->
+  ('a, Budget.exhaustion) result
+(** Run a compiled evaluation of [e] on a fresh state (budget chosen as in
+    {!run}): the run's trace span and metrics, and the classification of
+    its outcome — a value, a budget verdict (the published one), an
+    injected fault below node attribution (a verdict at node 0), or a
+    re-raised caller bug. *)

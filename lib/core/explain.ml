@@ -1,169 +1,11 @@
-(** Evaluation profiling: an EXPLAIN ANALYZE for bag-algebra queries.
+(** EXPLAIN ANALYZE for bag-algebra queries: a view over one governed
+    {!Eval.run} with a {!Telemetry} sink.
 
-    [run] evaluates an expression exactly like {!Eval} while building a
-    profile tree: per AST node, the number of evaluations (binder bodies run
-    once per bag member), the largest result support/cardinality seen, and
-    the operator name.  This is how a user sees {e where} a query explodes —
-    the practical face of the paper's complexity results, and the
-    observable behind the optimiser experiments. *)
-
-type profile = {
-  op : string;
-  mutable calls : int;
-  mutable max_support : int;
-  mutable max_cardinal : Bignat.t;
-  children : profile list;
-}
-
-(* Node labels are shared with the evaluator's telemetry spans and budget
-   reports, so a profile row and a --stats row for the same node agree. *)
-let op_name = Expr.op_name
-
-(* Build the profile skeleton following the AST, so repeated evaluations of
-   the same node (binder bodies, fixpoint bodies) accumulate in one cell. *)
-let rec skeleton e =
-  {
-    op = op_name e;
-    calls = 0;
-    max_support = 0;
-    max_cardinal = Bignat.zero;
-    children = List.map skeleton (Expr.children e);
-  }
-
-(* Pre-materialisation cap for the power operators, mirroring the
-   evaluator's budget pre-charge: the expected output is bounded before
-   the (unguarded) kernel runs, so overflow surfaces as the profiler's
-   structured [Resource_limit], never an unstructured size exception. *)
-let power_guard config op b =
-  let n = Bag.expected_subbags b in
-  if n > config.Eval.max_support then
-    raise
-      (Eval.Resource_limit
-         (Printf.sprintf "%s: %s expected subbags exceed limit %d" op
-            (if n = max_int then "over 2^62" else string_of_int n)
-            config.Eval.max_support))
-
-let observe p (v : Value.t) =
-  p.calls <- p.calls + 1;
-  match Value.view v with
-  | Value.Bag pairs ->
-      let support = List.length pairs in
-      if support > p.max_support then p.max_support <- support;
-      let card = Value.cardinal v in
-      if Bignat.compare card p.max_cardinal > 0 then p.max_cardinal <- card
-  | Value.Atom _ | Value.Tuple _ -> ()
-
-(** Evaluate while profiling.  Returns the result and the profile tree. *)
-let run ?config ?(env = Eval.Env.empty) e =
-  let root = skeleton e in
-  let config = Option.value config ~default:Eval.default_config in
-  let meters = Eval.fresh_meters () in
-  (* Mirror the evaluator's recursion, pairing each AST node with its
-     profile cell.  Evaluation itself is delegated to Eval for binder-free
-     leaves via direct construction, and re-implemented structurally here
-     for the traversal (kept in lockstep with Eval's semantics through the
-     shared Bag primitives). *)
-  let rec go env (e : Expr.t) (p : profile) : Value.t =
-    let child i = List.nth p.children i in
-    let result =
-      match e with
-      | Expr.Var x -> (
-          match Eval.Env.find_opt x env with
-          | Some v -> v
-          | None -> raise (Eval.Eval_error ("unbound variable " ^ x)))
-      | Expr.Lit (v, _) -> v
-      | Expr.Tuple es -> Value.tuple (List.mapi (fun i e -> go env e (child i)) es)
-      | Expr.Proj (i, e0) -> (
-          let v = go env e0 (child 0) in
-          match Value.view v with
-          | Value.Tuple vs when i >= 1 && i <= List.length vs -> List.nth vs (i - 1)
-          | _ ->
-              raise (Eval.Eval_error ("cannot project " ^ Value.to_string v)))
-      | Expr.Sing e0 -> Value.bag_of_assoc [ (go env e0 (child 0), Bignat.one) ]
-      | Expr.UnionAdd (a, b) -> Bag.union_add (go env a (child 0)) (go env b (child 1))
-      | Expr.Diff (a, b) -> Bag.diff (go env a (child 0)) (go env b (child 1))
-      | Expr.UnionMax (a, b) -> Bag.union_max (go env a (child 0)) (go env b (child 1))
-      | Expr.Inter (a, b) -> Bag.inter (go env a (child 0)) (go env b (child 1))
-      | Expr.Product (a, b) -> Bag.product (go env a (child 0)) (go env b (child 1))
-      | Expr.Join (i, j, a, b) ->
-          Bag.join_eq i j (go env a (child 0)) (go env b (child 1))
-      | Expr.Powerset e0 ->
-          let b = go env e0 (child 0) in
-          power_guard config "powerset" b;
-          Bag.powerset b
-      | Expr.Powerbag e0 ->
-          let b = go env e0 (child 0) in
-          power_guard config "powerbag" b;
-          Bag.powerbag b
-      | Expr.Destroy e0 -> Bag.destroy (go env e0 (child 0))
-      | Expr.Map (x, body, e0) ->
-          Bag.map
-            (fun v -> go (Eval.Env.add x v env) body (child 0))
-            (go env e0 (child 1))
-      | Expr.Select (x, l, r, e0) ->
-          Bag.select
-            (fun v ->
-              let env' = Eval.Env.add x v env in
-              Value.equal (go env' l (child 0)) (go env' r (child 1)))
-            (go env e0 (child 2))
-      | Expr.Dedup e0 -> Bag.dedup (go env e0 (child 0))
-      | Expr.Nest (ixs, e0) -> Bag.nest ixs (go env e0 (child 0))
-      | Expr.Unnest (i, e0) -> Bag.unnest i (go env e0 (child 0))
-      | Expr.Let (x, e0, body) ->
-          let v = go env e0 (child 0) in
-          go (Eval.Env.add x v env) body (child 1)
-      | Expr.Fix (x, body, seed) ->
-          iterate env ~x ~body ~pbody:(child 0) ~bound:None (go env seed (child 1))
-      | Expr.BFix (bound, x, body, seed) ->
-          let b = go env bound (child 0) in
-          iterate env ~x ~body ~pbody:(child 1) ~bound:(Some b)
-            (go env seed (child 2))
-    in
-    observe p result;
-    (* also keep the global guard honest *)
-    (match Value.view result with
-    | Value.Bag pairs when List.length pairs > config.Eval.max_support ->
-        raise
-          (Eval.Resource_limit
-             (Printf.sprintf "bag support %d exceeds limit %d"
-                (List.length pairs) config.Eval.max_support))
-    | _ -> ());
-    result
-  and iterate env ~x ~body ~pbody ~bound current =
-    let clamp v = match bound with None -> v | Some b -> Bag.inter v b in
-    let rec loop steps current =
-      if steps > config.Eval.max_fix_steps then
-        raise (Eval.Resource_limit "fixpoint did not converge");
-      let stepped = go (Eval.Env.add x current env) body pbody in
-      let next = clamp (Bag.union_max stepped current) in
-      if Value.equal next current then current else loop (steps + 1) next
-    in
-    loop 0 (clamp current)
-  in
-  ignore meters;
-  let v = go env e root in
-  (v, root)
-
-(* The vec engine already reports its executed plan — the profile of
-   interest here is which engine ran each subtree, so surface that plan
-   instead of re-instrumenting the walk. *)
-let run_vec ?(config = Eval.default_config) ?(env = Eval.Env.empty) e =
-  let plan = ref None in
-  match
-    Veval.run
-      ~limits:(Eval.limits_of_config config)
-      ~report:(fun p -> plan := Some p)
-      env e
-  with
-  | Ok v -> (
-      match !plan with
-      | Some p -> (v, p)
-      | None -> assert false (* report fires on every exit path *))
-  | Error x -> raise (Eval.Resource_limit (Budget.exhaustion_to_string x))
-
-(* ------------------------------------------------------------------ *)
-(* EXPLAIN ANALYZE: measured output rows next to the Props estimate,
-   per operator, plus the calibration table the comparison induces. *)
+    Per operator, the measured figures — invocations and the largest
+    result support — are the spans of the run the engine really performed
+    (fast-path kernels included, so a projection body the [proj] kernel
+    never ran reports no calls), set next to the raw {!Props.infer}
+    estimate.  Budgets, faults and traces apply as in any evaluation. *)
 
 type annotated = {
   an_op : string;
@@ -175,50 +17,53 @@ type annotated = {
   an_children : annotated list;
 }
 
-let analyze ?config ?(env = Eval.Env.empty) ?(vals = []) ~tenv ~engine e =
-  (* Measured rows always come from the instrumented tree walk; when the
-     vec engine is selected we additionally run it for the result value
-     and its per-subtree engine labels.  Both engines are bit-identical
-     by the differential suite, so the double evaluation only costs
-     time, never changes the answer. *)
-  let value_tree, prof = run ?config ~env e in
-  let value, plan =
-    match engine with
-    | Veval.Tree -> (value_tree, None)
-    | Veval.Vec ->
-        let v, p = run_vec ?config ~env e in
-        (v, Some p)
+let analyze ?limits ?(env = Eval.Env.empty) ?(vals = []) ~tenv ~engine e =
+  (* Measured rows always come from the governed tree run's spans; under
+     the vec engine a second run supplies the result value and its
+     per-subtree engine labels.  Both engines are bit-identical by the
+     differential suite, so the double evaluation only costs time, never
+     changes the answer. *)
+  let t = Telemetry.create () in
+  let labels = Hashtbl.create 16 in
+  let rec label (p : Veval.plan) =
+    Hashtbl.replace labels p.Veval.p_id p.Veval.p_engine;
+    List.iter label p.Veval.p_children
+  in
+  let measured =
+    match Eval.run ?limits ~telemetry:t env e with
+    | Error _ as r -> r
+    | Ok v -> (
+        match engine with
+        | Veval.Tree -> Ok v
+        | Veval.Vec -> Veval.run ?limits ~report:label env e)
   in
   (* Estimates are the raw uncalibrated heuristics: analyze measures the
      estimator itself, so an ambient calibration must not contaminate
      the baseline. *)
   let raw = Props.infer ~vals ~calib:(fun _ -> None) tenv in
-  let rec annot e (p : profile) plan =
+  (* Span ids are the compiler's preorder over {!Expr.children}. *)
+  let next = ref 0 in
+  let rec annot e =
+    incr next;
+    let id = !next in
     let est = raw e in
-    let child_plans =
-      match plan with
-      | Some pl when List.length pl.Veval.p_children = List.length p.children
-        ->
-          List.map Option.some pl.Veval.p_children
-      | _ -> List.map (fun _ -> None) p.children
+    let calls, actual =
+      match Telemetry.find t id with
+      | Some sp -> (sp.Telemetry.invocations, sp.Telemetry.peak_support)
+      | None -> (0, 0)
     in
-    let rec zip3 es ps pls =
-      match (es, ps, pls) with
-      | [], [], [] -> []
-      | e :: es, p :: ps, pl :: pls -> annot e p pl :: zip3 es ps pls
-      | _ -> []
-    in
+    let children = List.map annot (Expr.children e) in
     {
-      an_op = p.op;
+      an_op = Expr.op_name e;
       an_est = est.Props.rows;
       an_exact = est.Props.exact;
-      an_actual = p.max_support;
-      an_calls = p.calls;
-      an_engine = Option.map (fun pl -> pl.Veval.p_engine) plan;
-      an_children = zip3 (Expr.children e) p.children child_plans;
+      an_actual = actual;
+      an_calls = calls;
+      an_engine = Hashtbl.find_opt labels id;
+      an_children = children;
     }
   in
-  (value, annot e prof plan)
+  Result.map (fun v -> (v, annot e)) measured
 
 let rec fold_annotated f acc a =
   List.fold_left (fold_annotated f) (f acc a) a.an_children
@@ -277,11 +122,3 @@ let pp_analysis ppf a =
         median worst
 
 let analysis_to_string a = Format.asprintf "%a" (fun ppf -> pp_analysis ppf) a
-
-let rec pp_profile ?(indent = 0) ppf p =
-  Format.fprintf ppf "%s%-14s calls=%d  max support=%d  max cardinality=%s@\n"
-    (String.make indent ' ') p.op p.calls p.max_support
-    (Bignat.to_string p.max_cardinal);
-  List.iter (pp_profile ~indent:(indent + 2) ppf) p.children
-
-let profile_to_string p = Format.asprintf "%a" (fun ppf -> pp_profile ppf) p

@@ -1,64 +1,38 @@
-(** Evaluation profiling: an EXPLAIN ANALYZE for bag-algebra queries.
-
-    Evaluates exactly like {!Eval} while recording, per AST node, how many
-    times it was evaluated (binder bodies run once per bag member, fixpoint
-    bodies once per iteration) and the largest result support / cardinality
-    seen — showing {e where} a query explodes. *)
-
-type profile = {
-  op : string;
-  mutable calls : int;
-  mutable max_support : int;
-  mutable max_cardinal : Bignat.t;
-  children : profile list;  (** in {!Expr.children} order *)
-}
-
-val run :
-  ?config:Eval.config -> ?env:Eval.env -> Expr.t -> Value.t * profile
-(** @raise Eval.Eval_error / Eval.Resource_limit like the evaluator. *)
-
-val run_vec :
-  ?config:Eval.config -> ?env:Eval.env -> Expr.t -> Value.t * Veval.plan
-(** Evaluate under the vectorized engine and return its executed plan,
-    labelling which engine — a [vec:<kernel>] or the tree data path — ran
-    each subtree ([balgi explain --engine vec]).
-    @raise Eval.Eval_error / Eval.Resource_limit like the evaluator. *)
-
-val pp_profile : ?indent:int -> Format.formatter -> profile -> unit
-val profile_to_string : profile -> string
-
-(** {1 EXPLAIN ANALYZE}
-
-    Measured-vs-estimated cardinalities per operator, and the
-    calibration table ({!Calib}) the comparison induces. *)
+(** EXPLAIN ANALYZE for bag-algebra queries: measured-vs-estimated rows
+    per operator, read off the {!Telemetry} spans of one governed
+    {!Eval.run}, and the calibration table ({!Calib}) the comparison
+    induces.  Plain [balgi explain] prints the same spans
+    ({!Telemetry.pp_tree}) or, under the vec engine, the executed
+    {!Veval.plan}. *)
 
 type annotated = {
   an_op : string;
   an_est : int;  (** {!Props.infer}'s (uncalibrated) row estimate *)
   an_exact : bool;  (** the estimate was exact, not heuristic *)
-  an_actual : int;  (** measured max output support *)
-  an_calls : int;
+  an_actual : int;  (** measured max output support (span peak) *)
+  an_calls : int;  (** span invocations, memo hits included *)
   an_engine : string option;  (** vec plan label under [--engine vec] *)
   an_children : annotated list;  (** in {!Expr.children} order *)
 }
 
 val analyze :
-  ?config:Eval.config ->
+  ?limits:Budget.limits ->
   ?env:Eval.env ->
   ?vals:(string * Value.t) list ->
   tenv:Typecheck.env ->
   engine:Veval.engine ->
   Expr.t ->
-  Value.t * annotated
-(** Evaluate and annotate every operator with its measured output
-    support next to the raw {!Props.infer} estimate (ambient calibration
-    deliberately bypassed — this measures the estimator).  Under
-    [engine = Vec] the vec engine supplies the result value and
-    per-subtree engine labels while the instrumented tree walk supplies
-    the per-node measurements; results are bit-identical across engines.
-    [vals] should carry the database bindings so leaf estimates are
-    exact.
-    @raise Eval.Eval_error / Eval.Resource_limit like the evaluator. *)
+  (Value.t * annotated, Budget.exhaustion) result
+(** Evaluate under [limits] (default {!Budget.default}) and annotate every
+    operator with its measured output support next to the raw
+    {!Props.infer} estimate (ambient calibration deliberately bypassed —
+    this measures the estimator).  The measurements are the spans of the
+    governed tree run, by preorder node id.  Under [engine = Vec] a
+    {!Veval.run} supplies the result value and per-subtree engine labels;
+    results are bit-identical across engines.  [vals] should carry the
+    database bindings so leaf estimates are exact.  An exhausted budget,
+    a cancellation or an injected fault is the run's [Error] verdict.
+    @raise Eval.Eval_error like the evaluator. *)
 
 val calibration_of : annotated -> Calib.t
 (** Condense an analysis into per-operator correction factors over the

@@ -65,32 +65,36 @@ let round_pow2 n =
   let rec go c = if c >= n then c else go (c * 2) in
   go 1
 
-let new_ring () =
-  let cap = Atomic.get ring_capacity in
-  let r =
-    {
-      r_tid = (Domain.self () :> int);
-      r_epoch = Atomic.get epoch;
-      r_mu = Mutex.create ();
-      buf = Array.make cap dummy_event;
-      mask = cap - 1;
-      head = 0;
-      last_ts = 0.;
-    }
-  in
-  Mutex.lock rings_lock;
-  rings := r :: !rings;
-  Mutex.unlock rings_lock;
-  r
-
+(* Double-checked creation: the slot is domain-local, but the systhreads
+   of one domain share it, and after [enable] several of them can find it
+   stale at once.  Re-checking under the registry lock makes exactly one
+   of them install the fresh ring; the others adopt it, so a lane's B and
+   E events always land in the same ring. *)
 let my_ring () =
   let slot = Domain.DLS.get ring_slot in
   match !slot with
   | Some r when r.r_epoch = Atomic.get epoch -> r
   | _ ->
-      let r = new_ring () in
-      slot := Some r;
-      r
+      Mutex.protect rings_lock (fun () ->
+          let e = Atomic.get epoch in
+          match !slot with
+          | Some r when r.r_epoch = e -> r
+          | _ ->
+              let cap = Atomic.get ring_capacity in
+              let r =
+                {
+                  r_tid = (Domain.self () :> int);
+                  r_epoch = e;
+                  r_mu = Mutex.create ();
+                  buf = Array.make cap dummy_event;
+                  mask = cap - 1;
+                  head = 0;
+                  last_ts = 0.;
+                }
+              in
+              rings := r :: !rings;
+              slot := Some r;
+              r)
 
 let now_us () = (Unix.gettimeofday () -. Atomic.get t0) *. 1e6
 

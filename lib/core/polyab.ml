@@ -222,8 +222,11 @@ let predicted_count analysis t ~n =
     [B{_n}]; sound only for [n > analysis.threshold]. *)
 let agrees_with_eval ~input e analysis ~n =
   let bn = Value.replicate (Bignat.of_int n) input_tuple in
-  let v = Eval.eval (Eval.env_of_list [ (input, bn) ]) e in
-  let concrete = Value.as_bag v in
+  let concrete =
+    match Eval.run (Eval.env_of_list [ (input, bn) ]) e with
+    | Ok v -> Value.as_bag v
+    | Error x -> failwith (Budget.exhaustion_to_string x)
+  in
   let predicted =
     List.filter_map
       (fun (t, p) ->

@@ -30,6 +30,8 @@ val predicted_count : analysis -> Value.t -> n:int -> Bignat.t
 
 val agrees_with_eval : input:Expr.var -> Expr.t -> analysis -> n:int -> bool
 (** Compare the full predicted bag against the concrete evaluator on
-    [B{_n}]; sound only beyond the threshold. *)
+    [B{_n}]; sound only beyond the threshold.
+    @raise Failure with the verdict if evaluation exhausts
+    {!Budget.default}. *)
 
 val polynomial_of : analysis -> Value.t -> Poly.t option

@@ -9,6 +9,8 @@ type span = {
   mutable alloc_words : float;
   mutable peak_support : int;
   mutable peak_size : int;
+  mutable peak_count : Bignat.t;
+  mutable peak_cardinal : Bignat.t;
   mutable memo_hits : int;
   mutable memo_misses : int;
   mutable children : span list;
@@ -31,6 +33,8 @@ let fresh_span id op =
     alloc_words = 0.;
     peak_support = 0;
     peak_size = 0;
+    peak_count = Bignat.zero;
+    peak_cardinal = Bignat.zero;
     memo_hits = 0;
     memo_misses = 0;
     children = [];
@@ -46,12 +50,17 @@ let register t ~parent ~id ~op =
 
 let roots t = List.rev t.rev_roots
 let iter t f = Hashtbl.iter (fun _ sp -> f sp) t.tbl
+let find t id = Hashtbl.find_opt t.tbl id
 
 let add_steps sp n = sp.steps <- sp.steps + n
 
-let record_result sp ~support ~size =
+let max_bignat a b = if Bignat.compare b a > 0 then b else a
+
+let record_result sp ~support ~size ~count ~cardinal =
   if support > sp.peak_support then sp.peak_support <- support;
-  if size > sp.peak_size then sp.peak_size <- size
+  if size > sp.peak_size then sp.peak_size <- size;
+  sp.peak_count <- max_bignat sp.peak_count count;
+  sp.peak_cardinal <- max_bignat sp.peak_cardinal cardinal
 
 let record_memo_hit sp = sp.memo_hits <- sp.memo_hits + 1
 let record_memo_miss sp = sp.memo_misses <- sp.memo_misses + 1
@@ -83,6 +92,8 @@ let merge_counters ~into:dst src =
   dst.alloc_words <- dst.alloc_words +. src.alloc_words;
   if src.peak_support > dst.peak_support then dst.peak_support <- src.peak_support;
   if src.peak_size > dst.peak_size then dst.peak_size <- src.peak_size;
+  dst.peak_count <- max_bignat dst.peak_count src.peak_count;
+  dst.peak_cardinal <- max_bignat dst.peak_cardinal src.peak_cardinal;
   dst.memo_hits <- dst.memo_hits + src.memo_hits;
   dst.memo_misses <- dst.memo_misses + src.memo_misses
 

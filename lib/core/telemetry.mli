@@ -5,9 +5,11 @@
     node registers a {!span} (keyed by the same preorder node id the
     {!Budget} governor uses for attribution) and records per-invocation
     counters: invocations, governor steps charged, inclusive wall time,
-    inclusive allocated words, peak result support / encoded-size tag, and
-    memo hits/misses.  The tree is what [balgi --stats] / [--trace] print
-    and what [bench/main.exe --json] folds into [BENCH_eval.json].
+    inclusive allocated words, peak result support / encoded-size tag /
+    multiplicity / cardinality, and memo hits/misses.  The tree is what
+    [balgi --stats] / [--trace] and [balgi explain] print, what
+    [balgi explain --analyze] reads its measured column from, and what
+    [bench/main.exe --json] folds into [BENCH_eval.json].
 
     Invariant (tested): {!total_steps} over a completed evaluation equals
     the governor's spent fuel — spans and the budget are charged by the
@@ -22,6 +24,8 @@ type span = {
   mutable alloc_words : float;  (** inclusive allocated words *)
   mutable peak_support : int;  (** largest result support seen *)
   mutable peak_size : int;  (** largest result {!Value.size_tag} seen *)
+  mutable peak_count : Bignat.t;  (** largest multiplicity in a result *)
+  mutable peak_cardinal : Bignat.t;  (** largest result cardinality *)
   mutable memo_hits : int;
   mutable memo_misses : int;
   mutable children : span list;  (** reverse registration order *)
@@ -39,10 +43,17 @@ val roots : t -> span list
 
 val iter : t -> (span -> unit) -> unit
 
+val find : t -> int -> span option
+(** The span registered under a node id. *)
+
 (** {1 Recording} (hot path; called from compiled closures) *)
 
 val add_steps : span -> int -> unit
-val record_result : span -> support:int -> size:int -> unit
+val record_result :
+  span -> support:int -> size:int -> count:Bignat.t -> cardinal:Bignat.t -> unit
+(** Fold one result into the span's peaks.  The vec engine passes
+    {!Bignat.zero} for [count] and [cardinal] on columnar results. *)
+
 val record_memo_hit : span -> unit
 val record_memo_miss : span -> unit
 

@@ -106,84 +106,11 @@ type henv = hv Env.t
 let lift_env (env : Eval.env) : henv = Env.map of_val env
 
 (* ------------------------------------------------------------------ *)
-(* Governance: the same fuel / observation discipline as Eval, minus the
-   machinery this engine does not use (shards, memo tables). *)
+(* Governance: Eval's state, fuel charge, boxed-result observation and
+   power guard, called directly.  Only columnar results need their own
+   observation. *)
 
-type state = {
-  budget : Budget.t;
-  meters : Eval.meters;
-  pool : Pool.t option;
-  mutable obs_cell : int ref;
-      (** fuel charged to the currently executing node, mirrored into the
-          trace end events exactly as in {!Eval} *)
-}
-
-type att = { id : int; op : string; sp : Telemetry.span option }
-
-(* Shared with Eval: one registered site, one chaos knob for both
-   engines' fuel-charge boundary ([Fault.register] is idempotent). *)
-let step_site = Fault.register "eval.step"
-
-let spend st att n =
-  if Fault.fire step_site then
-    Budget.exceeded st.budget Budget.Injected ~node:att.id
-      ~op:(Fault.name step_site)
-      ~spent:(Budget.fuel_spent st.budget) ~limit:0;
-  (match att.sp with
-  | Some sp -> Telemetry.add_steps sp n
-  | None -> ());
-  (* Mirror into the trace accumulator before [charge] can raise: the
-     charge that trips the account must still appear in exported steps. *)
-  st.obs_cell := !(st.obs_cell) + n;
-  Budget.charge st.budget ~node:att.id ~op:att.op n
-
-(* Boxed results: Eval's observation verbatim — one walk for support /
-   max count / cardinal, the per-value budget checks, fuel proportional
-   to the materialised support. *)
-let observe_value st att v =
-  let m = st.meters in
-  (match Value.view v with
-  | Value.Bag pairs ->
-      let support = ref 0 in
-      let mc = ref Bignat.zero in
-      let icard = ref 0 in
-      List.iter
-        (fun (_, c) ->
-          incr support;
-          if Bignat.compare c !mc > 0 then mc := c;
-          if !icard >= 0 then
-            icard :=
-              (match Bignat.to_int_opt c with
-              | Some n ->
-                  let s = !icard + n in
-                  if s < 0 then -1 else s
-              | None -> -1))
-        pairs;
-      let support = !support and mc = !mc in
-      if support > m.Eval.max_support_seen then m.Eval.max_support_seen <- support;
-      Budget.check_support st.budget ~node:att.id ~op:att.op support;
-      if Bignat.compare mc m.Eval.max_count_seen > 0 then begin
-        m.Eval.max_count_seen <- mc;
-        Budget.check_count_digits st.budget ~node:att.id ~op:att.op
-          (Bignat.digits mc)
-      end;
-      let card =
-        if !icard >= 0 then Bignat.of_int !icard else Value.cardinal v
-      in
-      if Bignat.compare card m.Eval.max_cardinal_seen > 0 then
-        m.Eval.max_cardinal_seen <- card;
-      let size = Value.size_tag v in
-      Budget.check_size st.budget ~node:att.id ~op:att.op size;
-      (match att.sp with
-      | Some sp -> Telemetry.record_result sp ~support ~size
-      | None -> ());
-      spend st att support
-  | Value.Atom _ | Value.Tuple _ -> (
-      let size = Value.size_tag v in
-      Budget.check_size st.budget ~node:att.id ~op:att.op size;
-      match att.sp with
-      | Some sp -> Telemetry.record_result sp ~support:0 ~size
-      | None -> ()))
+type state = Eval.state
 
 (* Columnar results: the row count bounds the distinct support from
    above, so it stands in for the support account; when it alone would
@@ -192,43 +119,29 @@ let observe_value st att v =
    count-digit account is enforced against the count column; the
    encoded-size account is not (no cheap columnar analogue) — size-bound
    workloads run the tree engine. *)
-let observe_vec st att x =
-  let m = st.meters in
+let observe_vec (st : state) (att : Eval.att) x =
   let lim = (Budget.limits st.budget).Budget.max_support in
   let x = if Vec.rows x > lim then Vec.coalesce x else x in
   let support = Vec.rows x in
-  if support > m.Eval.max_support_seen then m.Eval.max_support_seen <- support;
   Budget.check_support st.budget ~node:att.id ~op:att.op support;
   if support > 0 then
     Budget.check_count_digits st.budget ~node:att.id ~op:att.op
       (Vec.max_count_digits x);
   (match att.sp with
-  | Some sp -> Telemetry.record_result sp ~support ~size:0
+  | Some sp ->
+      Telemetry.record_result sp ~support ~size:0 ~count:Bignat.zero
+        ~cardinal:Bignat.zero
   | None -> ());
-  spend st att support;
+  Eval.spend st att support;
   x
 
 let observe_hv st att h =
-  st.meters.Eval.ops <- st.meters.Eval.ops + 1;
   (match (h.hval, h.hvec) with
   | None, VYes x ->
       (* vec-resident result: observe columns, keep any coalescing *)
       h.hvec <- VYes (observe_vec st att x)
-  | _ -> observe_value st att (as_value h));
+  | _ -> ignore (Eval.observe st att (as_value h)));
   h
-
-(* Eval's pre-materialisation escapes, verbatim. *)
-let too_large st att =
-  let limit = (Budget.limits st.budget).Budget.max_support in
-  Budget.exceeded st.budget Budget.Support ~node:att.id ~op:att.op
-    ~spent:max_int ~limit
-
-let power_guard st att b =
-  let n = Bag.expected_subbags b in
-  if n = max_int then too_large st att;
-  Budget.check_deadline st.budget ~node:att.id ~op:att.op;
-  Budget.check_support st.budget ~node:att.id ~op:att.op n;
-  spend st att n
 
 (* ------------------------------------------------------------------ *)
 (* Scalar-program extraction: the MAP/σ bodies the kernels can run
@@ -278,12 +191,7 @@ let rec compile reg ~parent e : compiled * plan =
   incr reg.ctr;
   let id = !(reg.ctr) in
   let op = Expr.op_name e in
-  let sp =
-    match reg.telemetry with
-    | Some t -> Some (Telemetry.register t ~parent ~id ~op)
-    | None -> None
-  in
-  let att = { id; op; sp } in
+  let att = Eval.attribute reg.telemetry ~parent ~id ~op in
   let pn = { p_id = id; p_op = op; p_engine = "tree"; p_children = [] } in
   let kids = ref [] in
   let sub e =
@@ -294,55 +202,17 @@ let rec compile reg ~parent e : compiled * plan =
   let raw = compile_node ~att ~pn ~sub e in
   pn.p_children <- List.rev !kids;
   let invoke =
-    match sp with
+    match att.sp with
     | None ->
         fun st env ->
-          spend st att 1;
-          observe_hv st att (raw st env)
-    | Some sp ->
-        (* Inclusive wall time and allocation per span, as in Eval. *)
-        fun st env ->
-          spend st att 1;
-          sp.Telemetry.invocations <- sp.Telemetry.invocations + 1;
-          let t0 = Unix.gettimeofday () in
-          let a0 = Gc.allocated_bytes () in
-          let finish () =
-            sp.Telemetry.time_s <-
-              sp.Telemetry.time_s +. (Unix.gettimeofday () -. t0);
-            sp.Telemetry.alloc_words <-
-              sp.Telemetry.alloc_words
-              +. ((Gc.allocated_bytes () -. a0) /. float (Sys.word_size / 8))
-          in
-          (match raw st env with
-          | h ->
-              finish ();
-              observe_hv st att h
-          | exception exn ->
-              finish ();
-              raise exn)
-  in
-  (* Per-invocation trace events with a fresh self-steps cell, balanced on
-     the exception path — Eval's discipline, so a traced vec run satisfies
-     check_trace.sh's steps == fuel reconciliation. *)
-  let invoke st env =
-    if not (Obs.on ()) then invoke st env
-    else begin
-      if Obs.on () then Obs.emit Obs.B ~cat:"eval" ~name:op ~args:[ ("node", Obs.Int id) ];
-      let saved = st.obs_cell in
-      let cell = ref 0 in
-      st.obs_cell <- cell;
-      let close () =
-        st.obs_cell <- saved;
-        if Obs.on () then Obs.emit Obs.E ~cat:"eval" ~name:op ~args:[ ("node", Obs.Int id); ("steps", Obs.Int !cell) ]
-      in
-      match invoke st env with
-      | h ->
-          close ();
-          h
-      | exception exn ->
-          close ();
-          raise exn
-    end
+          if Obs.on () then
+            Eval.invoke_instrumented ~observe:observe_hv st att raw env
+          else begin
+            Eval.spend st att 1;
+            observe_hv st att (raw st env)
+          end
+    | Some _ ->
+        fun st env -> Eval.invoke_instrumented ~observe:observe_hv st att raw env
   in
   (invoke, pn)
 
@@ -446,7 +316,7 @@ and compile_node ~att ~pn ~sub (e : Expr.t) : compiled =
             else (xa, xb)
           in
           let n = Vec.expected_product_rows xa xb in
-          if n = max_int then too_large st att;
+          if n = max_int then Eval.too_large st att;
           Budget.check_support st.budget ~node:att.id ~op:att.op n;
           Vec.product ?pool:st.pool xa xb)
         (fun st va vb -> Bag.product ?pool:st.pool va vb)
@@ -461,13 +331,13 @@ and compile_node ~att ~pn ~sub (e : Expr.t) : compiled =
       let c = sub e0 in
       fun st env ->
         let b = as_value (c st env) in
-        power_guard st att b;
+        Eval.power_guard st att b;
         of_val (Bag.powerset b)
   | Expr.Powerbag e0 ->
       let c = sub e0 in
       fun st env ->
         let b = as_value (c st env) in
-        power_guard st att b;
+        Eval.power_guard st att b;
         of_val (Bag.powerbag b)
   | Expr.Destroy e0 ->
       vun "vec:destroy" e0 (fun _st x -> Vec.destroy x) Bag.destroy
@@ -531,12 +401,15 @@ and compile_node ~att ~pn ~sub (e : Expr.t) : compiled =
       let c = sub e0 in
       let cbody = sub body in
       fun st env -> cbody st (Env.add x (c st env) env)
+  (* Fixpoints iterate on boxed values (the stability check needs
+     canonical values); the body itself still vectorizes internally. *)
   | Expr.Fix (x, body, seed) ->
       let cbody = sub body in
       let cseed = sub seed in
       fun st env ->
         of_val
-          (iterate st att env ~x ~cbody ~bound:None
+          (Eval.iterate st att ~bound:None
+             (fun v -> as_value (cbody st (Env.add x (of_val v) env)))
              (as_value (cseed st env)))
   | Expr.BFix (bound, x, body, seed) ->
       let cbound = sub bound in
@@ -545,123 +418,43 @@ and compile_node ~att ~pn ~sub (e : Expr.t) : compiled =
       fun st env ->
         let b = as_value (cbound st env) in
         of_val
-          (iterate st att env ~x ~cbody ~bound:(Some b)
+          (Eval.iterate st att ~bound:(Some b)
+             (fun v -> as_value (cbody st (Env.add x (of_val v) env)))
              (as_value (cseed st env)))
-
-(* Inflationary iteration on boxed iterates (the stability check needs
-   canonical values); the body itself still vectorizes internally. *)
-and iterate st att env ~x ~cbody ~bound current =
-  let clamp v = match bound with None -> v | Some b -> Bag.inter v b in
-  let rec go steps current =
-    Budget.check_fix_steps st.budget ~node:att.id ~op:att.op steps;
-    Budget.check_deadline st.budget ~node:att.id ~op:att.op;
-    let stepped = as_value (cbody st (Env.add x (of_val current) env)) in
-    let next = clamp (Bag.union_max stepped current) in
-    if Value.equal next current then current else go (steps + 1) next
-  in
-  go 0 (clamp current)
 
 (* ------------------------------------------------------------------ *)
 (* Entry points. *)
 
-let run_ids = Atomic.make 1
+let metrics =
+  let r = Metrics.default in
+  {
+    Eval.runs =
+      Metrics.counter r "balg_veval_runs_total"
+        ~help:"Vectorized evaluations started";
+    ok =
+      Metrics.counter r "balg_veval_ok_total"
+        ~help:"Vectorized evaluations that returned a value";
+    verdicts =
+      Metrics.counter r "balg_veval_verdicts_total"
+        ~help:"Vectorized evaluations that ended in an exhaustion verdict";
+    fuel =
+      Metrics.histogram r "balg_veval_fuel"
+        ~help:"Fuel spent per vectorized evaluation";
+    run_ns =
+      Metrics.histogram r "balg_veval_run_ns"
+        ~help:"Wall time per vectorized evaluation in nanoseconds";
+    peak_support = None;
+  }
 
-let m_runs =
-  Metrics.counter Metrics.default "balg_veval_runs_total"
-    ~help:"Vectorized evaluations started"
-
-let m_ok =
-  Metrics.counter Metrics.default "balg_veval_ok_total"
-    ~help:"Vectorized evaluations that returned a value"
-
-let m_verdicts =
-  Metrics.counter Metrics.default "balg_veval_verdicts_total"
-    ~help:"Vectorized evaluations that ended in an exhaustion verdict"
-
-let m_fuel =
-  Metrics.histogram Metrics.default "balg_veval_fuel"
-    ~help:"Fuel spent per vectorized evaluation"
-
-let m_run_ns =
-  Metrics.histogram Metrics.default "balg_veval_run_ns"
-    ~help:"Wall time per vectorized evaluation in nanoseconds"
-
-let finish_run st t0 outcome_args =
-  Metrics.observe m_fuel (Budget.fuel_spent st.budget);
-  Metrics.observe m_run_ns (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
-  if Obs.on () then Obs.emit Obs.E ~cat:"eval" ~name:"run" ~args:[ ("steps", Obs.Int !(st.obs_cell)) ];
-  if Obs.on () then Obs.emit Obs.I ~cat:"eval" ~name:"done" ~args:(("fuel", Obs.Int (Budget.fuel_spent st.budget)) :: outcome_args)
-
-let verdict_args (x : Budget.exhaustion) =
-  [
-    ("outcome", Obs.Str "verdict");
-    ("resource", Obs.Str (Budget.resource_to_string x.Budget.resource));
-    ("node", Obs.Int x.Budget.at_node);
-    ("op", Obs.Str x.Budget.op);
-  ]
-
-let run ?budget ?limits ?meters ?telemetry ?pool ?report env e =
-  let budget =
-    match (budget, limits) with
-    | Some b, _ -> b
-    | None, Some l -> Budget.start l
-    | None, None -> Budget.start Budget.default
-  in
-  let meters = match meters with Some m -> m | None -> Eval.fresh_meters () in
+let run ?budget ?limits ?telemetry ?pool ?report env e =
   let compiled, plan = compile { ctr = ref 0; telemetry } ~parent:0 e in
-  let st = { budget; meters; pool; obs_cell = ref 0 } in
-  let report_plan () = match report with Some f -> f plan | None -> () in
-  let rid = Atomic.fetch_and_add run_ids 1 in
-  Metrics.incr m_runs;
-  let t0 = Unix.gettimeofday () in
-  if Obs.on () then Obs.set_trace_id rid;
-  if Obs.on () then Obs.emit Obs.B ~cat:"eval" ~name:"run" ~args:[ ("run", Obs.Int rid); ("size", Obs.Int (Expr.size e)); ("engine", Obs.Str "vec") ];
-  match as_value (compiled st (lift_env env)) with
-  | v ->
-      Metrics.incr m_ok;
-      finish_run st t0 [ ("outcome", Obs.Str "ok") ];
-      report_plan ();
-      Ok v
-  | exception Budget.Budget_exceeded x ->
-      (* Keep the published verdict (smallest node id) as Eval does. *)
-      let x = match Budget.verdict budget with Some y -> y | None -> x in
-      Metrics.incr m_verdicts;
-      finish_run st t0 (verdict_args x);
-      report_plan ();
-      Error x
-  | exception Fault.Injected site ->
-      (* An injected failure below node attribution — vec.alloc at a
-         kernel or boundary allocation: structured verdict at node 0
-         carrying the site name, as in Eval. *)
-      let x =
-        {
-          Budget.resource = Budget.Injected;
-          at_node = 0;
-          op = site;
-          spent = 0;
-          limit = 0;
-        }
-      in
-      Metrics.incr m_verdicts;
-      finish_run st t0 (verdict_args x);
-      report_plan ();
-      Error x
-  | exception exn ->
-      finish_run st t0 [ ("outcome", Obs.Str "exception") ];
-      report_plan ();
-      raise exn
+  Fun.protect
+    ~finally:(fun () -> match report with Some f -> f plan | None -> ())
+    (fun () ->
+      Eval.govern metrics ?budget ?limits ?telemetry ?pool ~engine:"vec" e
+        (fun st -> as_value (compiled st (lift_env env))))
 
-let eval ?(config = Eval.default_config) ?meters ?pool env e =
-  match run ~limits:(Eval.limits_of_config config) ?meters ?pool env e with
-  | Ok v -> v
-  | Error x -> raise (Eval.Resource_limit (Budget.exhaustion_to_string x))
-
-let run_engine engine ?budget ?limits ?meters ?telemetry ?pool env e =
+let run_engine engine ?budget ?limits ?telemetry ?pool env e =
   match engine with
-  | Tree -> Eval.run ?budget ?limits ?meters ?telemetry ?pool env e
-  | Vec -> run ?budget ?limits ?meters ?telemetry ?pool env e
-
-let eval_engine engine ?config ?meters ?pool env e =
-  match engine with
-  | Tree -> Eval.eval ?config ?meters ?pool env e
-  | Vec -> eval ?config ?meters ?pool env e
+  | Tree -> Eval.run ?budget ?limits ?telemetry ?pool env e
+  | Vec -> run ?budget ?limits ?telemetry ?pool env e

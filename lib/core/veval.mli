@@ -49,15 +49,14 @@ type plan = {
 
 val plan_to_string : plan -> string
 
-(** {1 Entry points}
+(** {1 Entry point}
 
-    Mirrors of {!Eval.run} / {!Eval.eval}: same optional machinery, same
-    result and exception contract. *)
+    The mirror of {!Eval.run}: same optional machinery, same result and
+    exception contract. *)
 
 val run :
   ?budget:Budget.t ->
   ?limits:Budget.limits ->
-  ?meters:Eval.meters ->
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
   ?report:(plan -> unit) ->
@@ -66,15 +65,6 @@ val run :
   (Value.t, Budget.exhaustion) result
 (** [?report] receives the executed plan on every exit path — ok,
     verdict, or exception — after engine labels are final. *)
-
-val eval :
-  ?config:Eval.config ->
-  ?meters:Eval.meters ->
-  ?pool:Pool.t ->
-  Eval.env ->
-  Expr.t ->
-  Value.t
-(** @raise Eval.Resource_limit on exhaustion, like {!Eval.eval}. *)
 
 (** {1 Dispatch}
 
@@ -85,18 +75,8 @@ val run_engine :
   engine ->
   ?budget:Budget.t ->
   ?limits:Budget.limits ->
-  ?meters:Eval.meters ->
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
   Eval.env ->
   Expr.t ->
   (Value.t, Budget.exhaustion) result
-
-val eval_engine :
-  engine ->
-  ?config:Eval.config ->
-  ?meters:Eval.meters ->
-  ?pool:Pool.t ->
-  Eval.env ->
-  Expr.t ->
-  Value.t

@@ -139,9 +139,11 @@ let paper_domain1 ~i b =
   Expr.Map (d, Expr.Tuple [ Expr.Var d ], Derived.domain ~via_powerbag:true i b)
 
 (** Truth through the algebra, with quantifiers bounded by [0..bound]. *)
-let holds_via_algebra ?config ~bound ~input f =
+let holds_via_algebra ?limits ~bound ~input f =
   let e =
     compile_sentence ~domain1:(literal_domain1 bound)
       ~input:(Derived.nat_lit input) f
   in
-  Eval.truthy (Eval.eval ?config (Eval.env_of_list []) e)
+  match Eval.run ?limits (Eval.env_of_list []) e with
+  | Ok v -> Eval.truthy v
+  | Error x -> failwith (Budget.exhaustion_to_string x)

@@ -49,4 +49,6 @@ val paper_domain1 : i:int -> Expr.t -> Expr.t
 (** The paper's [D(b) = P(E{^i}(b))] with the powerbag doubling. *)
 
 val holds_via_algebra :
-  ?config:Eval.config -> bound:int -> input:int -> formula -> bool
+  ?limits:Budget.limits -> bound:int -> input:int -> formula -> bool
+(** Evaluates under [limits] (default {!Budget.default}).
+    @raise Failure with the verdict when the budget runs out. *)

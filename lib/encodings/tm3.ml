@@ -206,6 +206,8 @@ let tm_expr_paper ~i tm ~space input =
   tm_expr ~domain:(paper_domain i (Expr.Var "B")) tm ~space input
 
 (** Decide acceptance by evaluating the literal-domain expression. *)
-let accepts ?config tm ~space input =
+let accepts ?limits tm ~space input =
   let e = tm_expr_literal tm ~space input in
-  Eval.truthy (Eval.eval ?config (Eval.env_of_list []) e)
+  match Eval.run ?limits (Eval.env_of_list []) e with
+  | Ok v -> Eval.truthy v
+  | Error x -> failwith (Budget.exhaustion_to_string x)

@@ -42,5 +42,7 @@ val tm_expr_paper :
 (** Verbatim paper shape over a free input bag [B]; for analysis only. *)
 
 val accepts :
-  ?config:Eval.config -> Turing.Tm.t -> space:int -> Turing.Tm.symbol list -> bool
-(** Evaluates the literal-domain expression. *)
+  ?limits:Budget.limits -> Turing.Tm.t -> space:int -> Turing.Tm.symbol list -> bool
+(** Evaluates the literal-domain expression under [limits] (default
+    {!Budget.default}).
+    @raise Failure with the verdict when the budget runs out. *)

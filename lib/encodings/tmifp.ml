@@ -146,16 +146,20 @@ let ones_output_expr tm =
 
 (** Run a machine through the algebra.  Returns the truthiness of
     {!accept_expr} on the given unary/symbol input. *)
-let simulate ?config tm ~space input =
+let run_on ?limits tm ~space input e =
   let env = Eval.env_of_list [ ("B0", seed_value tm ~space input) ] in
-  Eval.eval ?config env (accept_expr tm)
+  match Eval.run ?limits env e with
+  | Ok v -> v
+  | Error x -> failwith (Budget.exhaustion_to_string x)
 
-let accepts ?config tm ~space input = Eval.truthy (simulate ?config tm ~space input)
+let simulate ?limits tm ~space input =
+  run_on ?limits tm ~space input (accept_expr tm)
 
-let output_ones ?config tm ~space input =
-  let env = Eval.env_of_list [ ("B0", seed_value tm ~space input) ] in
+let accepts ?limits tm ~space input = Eval.truthy (simulate ?limits tm ~space input)
+
+let output_ones ?limits tm ~space input =
   Bignat.to_int_exn
-    (Value.nat_value (Eval.eval ?config env (ones_output_expr tm)))
+    (Value.nat_value (run_on ?limits tm ~space input (ones_output_expr tm)))
 
 (** Typing environment for the expressions above. *)
 let type_env = Typecheck.env_of_list [ ("B0", conf_ty) ]

@@ -36,13 +36,16 @@ val ones_output_expr : Turing.Tm.t -> Expr.t
 (** Number of [1] symbols on the final tape, as an integer-bag. *)
 
 val simulate :
-  ?config:Eval.config -> Turing.Tm.t -> space:int -> Turing.Tm.symbol list -> Value.t
+  ?limits:Budget.limits -> Turing.Tm.t -> space:int -> Turing.Tm.symbol list -> Value.t
+(** Evaluates {!accept_expr} under [limits] (default {!Budget.default});
+    [accepts] and [output_ones] likewise.
+    @raise Failure with the verdict when the budget runs out. *)
 
 val accepts :
-  ?config:Eval.config -> Turing.Tm.t -> space:int -> Turing.Tm.symbol list -> bool
+  ?limits:Budget.limits -> Turing.Tm.t -> space:int -> Turing.Tm.symbol list -> bool
 
 val output_ones :
-  ?config:Eval.config -> Turing.Tm.t -> space:int -> Turing.Tm.symbol list -> int
+  ?limits:Budget.limits -> Turing.Tm.t -> space:int -> Turing.Tm.symbol list -> int
 
 val type_env : Typecheck.env
 (** Binds [B0 : conf_ty]. *)

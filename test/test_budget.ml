@@ -160,9 +160,7 @@ let test_steps_match_fuel () =
 let test_telemetry_tree () =
   let e = Derived.selfjoin (Expr.lit (rel2 6) (Ty.relation 2)) in
   let t = Telemetry.create () in
-  (match run ~telemetry:t e with
-  | Ok _ -> ()
-  | Error x -> Alcotest.fail (Budget.exhaustion_to_string x));
+  ignore (Expect.ok (run ~telemetry:t e));
   (match Telemetry.roots t with
   | [ root ] ->
       Alcotest.(check int) "root id" 1 root.Telemetry.id;
@@ -228,13 +226,6 @@ let test_arm_idempotent () =
        (run ~budget:b
           (Derived.transitive_closure (Expr.lit (rel2 6) (Ty.relation 2)))))
 
-(* The legacy eval wrapper converts every verdict into Resource_limit. *)
-let test_legacy_wrapper () =
-  let e = Expr.Powerset (Expr.Powerset (Expr.lit (rel1 24) (Ty.relation 1))) in
-  match Eval.eval (Eval.env_of_list []) e with
-  | exception Eval.Resource_limit _ -> ()
-  | _ -> Alcotest.fail "expected Resource_limit"
-
 let () =
   Alcotest.run "budget"
     [
@@ -248,7 +239,6 @@ let () =
           Alcotest.test_case "deadline" `Quick test_deadline;
           Alcotest.test_case "fix steps" `Quick test_fix_steps;
           Alcotest.test_case "count digits" `Quick test_count_digits;
-          Alcotest.test_case "legacy wrapper" `Quick test_legacy_wrapper;
           Alcotest.test_case "create/arm deadline seam" `Quick
             test_create_arm_deadline_seam;
           Alcotest.test_case "arm idempotent" `Quick test_arm_idempotent;

@@ -6,7 +6,7 @@ module B = Bignat
 
 let value = Alcotest.testable Value.pp Value.equal
 
-let ev ?(env = []) e = Eval.eval (Eval.env_of_list env) e
+let ev ?(env = []) e = Expect.ok (Eval.run (Eval.env_of_list env) e)
 let truthy ?env e = Eval.truthy (ev ?env e)
 
 let rel1 l = Value.bag_of_list (List.map (fun x -> Value.tuple [ Value.atom x ]) l)

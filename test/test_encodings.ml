@@ -47,7 +47,7 @@ let test_ifp_binary_increment () =
         Eval.env_of_list
           [ ("B0", Tmifp.seed_value Tm.binary_increment ~space:(List.length input + 1) input) ]
       in
-      let tape = Eval.eval env (Tmifp.final_tape_expr Tm.binary_increment) in
+      let tape = Expect.ok (Eval.run env (Tmifp.final_tape_expr Tm.binary_increment)) in
       (* cells <j, sym, st>: fold MSB-first by cell index *)
       let cells =
         List.sort
@@ -163,7 +163,7 @@ let test_arith_paper_domain_shape () =
   (* the paper-faithful domain P(E^0(b_n)) wrapped in 1-tuples has n+1
      members 0..n *)
   let d = Arith.paper_domain1 ~i:0 (Derived.nat_lit 3) in
-  let v = Eval.eval (Eval.env_of_list []) d in
+  let v = Expect.ok (Eval.run (Eval.env_of_list []) d) in
   Alcotest.(check int) "|D| = n+1" 4 (Value.support_size v);
   (* and uses the powerbag, per Lemma 5.7 *)
   Alcotest.(check bool) "powerbag used" true

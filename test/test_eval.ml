@@ -23,7 +23,7 @@ let rel2 l =
    prepare never raises either way. *)
 let ev ?(env = []) e =
   let e = Opt.prepare ~vals:env (Opt.default_mode ()) Typecheck.Env.empty e in
-  Veval.eval_engine (Veval.default_engine ()) (Eval.env_of_list env) e
+  Expect.ok (Veval.run_engine (Veval.default_engine ()) (Eval.env_of_list env) e)
 let tc ?(env = []) e = Typecheck.infer (Typecheck.env_of_list env) e
 
 (* --- typechecker -------------------------------------------------------- *)
@@ -168,18 +168,25 @@ let test_fix_divergence_guard () =
      inflationary-stable: max-union with previous keeps doubling. *)
   let seed = Expr.lit (rel1 [ "a" ]) (Ty.relation 1) in
   let body = Expr.(Var "X" ++ Var "X") in
-  let config = { Eval.default_config with max_fix_steps = 50 } in
-  match Eval.eval ~config (Eval.env_of_list []) (Expr.Fix ("X", body, seed)) with
-  | exception Eval.Resource_limit _ -> ()
-  | _ -> Alcotest.fail "expected Resource_limit"
+  let limits = { Budget.default with max_fix_steps = 50 } in
+  match Eval.run ~limits (Eval.env_of_list []) (Expr.Fix ("X", body, seed)) with
+  | Error { Budget.resource = Budget.Fix_steps; _ } -> ()
+  | _ -> Alcotest.fail "expected a fix-steps verdict"
 
+(* The span peaks the growth experiments read: P({{<a>:8}}) has 9
+   distinct subbags, and the input's <a>:8 is the largest multiplicity. *)
 let test_meters () =
-  let meters = Eval.fresh_meters () in
+  let t = Telemetry.create () in
   let r = Value.replicate (B.of_int 8) (Value.tuple [ a ]) in
   let e = Expr.Powerset (Expr.lit r (Ty.relation 1)) in
-  ignore (Eval.eval ~meters (Eval.env_of_list []) e);
-  Alcotest.(check int) "support meter" 9 meters.Eval.max_support_seen;
-  Alcotest.(check string) "count meter" "8" (B.to_string meters.Eval.max_count_seen)
+  ignore (Eval.run ~telemetry:t (Eval.env_of_list []) e);
+  let support = ref 0 and count = ref B.zero in
+  Telemetry.iter t (fun sp ->
+      support := max !support sp.Telemetry.peak_support;
+      if B.compare sp.Telemetry.peak_count !count > 0 then
+        count := sp.Telemetry.peak_count);
+  Alcotest.(check int) "peak support" 9 !support;
+  Alcotest.(check string) "peak count" "8" (B.to_string !count)
 
 let test_truthy () =
   Alcotest.(check bool) "empty false" false (Eval.truthy Value.empty_bag);
@@ -205,8 +212,9 @@ let prop_type_soundness =
       let tenv = Typecheck.env_of_list (Baggen.Genexpr.env_types env_spec) in
       let ty = Typecheck.infer tenv e in
       let inst = Baggen.Genexpr.instance rng env_spec in
-      let v = Eval.eval (Eval.env_of_list inst) e in
-      Value.has_type ty v)
+      match Eval.run (Eval.env_of_list inst) e with
+      | Ok v -> Value.has_type ty v
+      | Error _ -> false)
 
 let () =
   Alcotest.run "eval"

@@ -2,9 +2,10 @@
    full engine x optimizer matrix: a parse error, a database error and a
    type error exit with code 1, a budget verdict with 2 — identically on
    --engine tree|vec and --optimize off|rules|cost, with the same stderr
-   shape.  A plan-level divergence (say, the vec engine or the cost
-   optimizer turning a verdict into a crash) shows up here as a matrix
-   cell with the wrong code or the wrong diagnostic class. *)
+   shape, for eval, explain and explain --analyze alike.  A plan-level
+   divergence (say, the vec engine or the cost optimizer turning a verdict
+   into a crash) shows up here as a matrix cell with the wrong code or the
+   wrong diagnostic class. *)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -73,44 +74,63 @@ let with_temp content f =
       close_out oc;
       f path)
 
-let matrix name args_of want_code want_class =
+let surfaces = [ [ "eval" ]; [ "explain" ]; [ "explain"; "--analyze" ] ]
+
+let matrix ?(surfaces = surfaces) name args_of want_code want_class =
   List.iter
-    (fun (engine, opt) ->
-      let cell = Printf.sprintf "%s @ --engine %s --optimize %s" name engine opt in
-      let code, _, err = run_balgi (args_of engine opt) in
-      Alcotest.(check int) (cell ^ ": exit code") want_code code;
-      Alcotest.(check string) (cell ^ ": stderr shape") want_class (classify err))
-    combos
+    (fun surface ->
+      List.iter
+        (fun (engine, opt) ->
+          let cell =
+            Printf.sprintf "%s @ %s --engine %s --optimize %s" name
+              (String.concat " " surface) engine opt
+          in
+          let code, _, err = run_balgi (surface @ args_of engine opt) in
+          Alcotest.(check int) (cell ^ ": exit code") want_code code;
+          Alcotest.(check string) (cell ^ ": stderr shape") want_class
+            (classify err))
+        combos)
+    surfaces
 
 let test_parse_error_matrix () =
   matrix "parse error"
     (fun engine opt ->
-      [ "eval"; "--engine"; engine; "--optimize"; opt; "R ++" ])
+      [ "--engine"; engine; "--optimize"; opt; "R ++" ])
     1 "parse"
 
 let test_db_error_matrix () =
   with_temp "bag R : {{<U>}} = {{ <'a\nthis is not a bagdb file" (fun db ->
       matrix "db error"
         (fun engine opt ->
-          [ "eval"; "-d"; db; "--engine"; engine; "--optimize"; opt; "R" ])
+          [ "-d"; db; "--engine"; engine; "--optimize"; opt; "R" ])
         1 "db")
 
 let test_type_error_matrix () =
   with_temp "bag R : {{<U>}} = {{ <'a>, <'b> }}" (fun db ->
       matrix "type error"
         (fun engine opt ->
-          [ "eval"; "-d"; db; "--engine"; engine; "--optimize"; opt; "Zebra" ])
+          [ "-d"; db; "--engine"; engine; "--optimize"; opt; "Zebra" ])
         1 "type")
 
 let test_verdict_matrix () =
   with_temp "bag R : {{<U>}} = {{ <'a>, <'b>, <'c> }}" (fun db ->
-      matrix "budget verdict"
+      (* explain takes no budget flags: --fuel is eval's alone *)
+      matrix ~surfaces:[ [ "eval" ] ] "budget verdict"
         (fun engine opt ->
           [
-            "eval"; "-d"; db; "--fuel"; "5"; "--engine"; engine; "--optimize";
-            opt; "powerset(R ++ R)";
+            "-d"; db; "--fuel"; "5"; "--engine"; engine; "--optimize"; opt;
+            "powerset(R ++ R)";
           ])
-        2 "verdict")
+        2 "verdict");
+  (* a support overflow under the default limits: every surface prints
+     eval's located verdict line *)
+  matrix "support verdict"
+    (fun engine opt ->
+      [
+        "--engine"; engine; "--optimize"; opt;
+        "destroy(powerset(powerset({{<'a>,<'b>,<'c>,<'d>,<'e>}})))";
+      ])
+    2 "verdict"
 
 (* the success column of the matrix, as a control: same result text and
    a zero exit everywhere *)

@@ -1,5 +1,7 @@
-(* Tests for the evaluation profiler: results agree with Eval, binder
-   bodies accumulate calls, fixpoints iterate, guards still fire. *)
+(* Tests for EXPLAIN over the governed evaluator: results agree with Eval,
+   binder bodies accumulate calls, fixpoints iterate, guards and faults
+   come back as verdicts, and the measured column is the spans of the run
+   eval --stats would print. *)
 
 open Balg
 
@@ -12,70 +14,88 @@ let rel2 l =
 let g = rel2 [ ("a", "b"); ("b", "c"); ("c", "d") ]
 let env = Eval.env_of_list [ ("G", g) ]
 
-let rec find_op op (p : Explain.profile) =
-  if p.Explain.op = op then Some p
-  else List.find_map (find_op op) p.Explain.children
+let tenv = Typecheck.env_of_list [ ("G", Ty.relation 2) ]
+let vals = [ ("G", g) ]
 
-let test_agrees_with_eval () =
-  let queries =
+let eval_ok q = Expect.ok (Eval.run env q)
+
+let analyze ?(engine = Veval.Tree) q =
+  Expect.ok (Explain.analyze ~env ~vals ~tenv ~engine q)
+
+let rec find_an op (a : Explain.annotated) =
+  if a.Explain.an_op = op then Some a
+  else List.find_map (find_an op) a.Explain.an_children
+
+(* The profiler is a view over the governed evaluator: same value, call
+   counts of the closures that really ran. *)
+
+let agrees_with_eval engine =
+  List.iter
+    (fun q ->
+      let v, _ = analyze ~engine q in
+      Alcotest.check value "profiled result equals Eval" (eval_ok q) v)
     [
       Derived.selfjoin (Expr.Var "G");
       Derived.transitive_closure (Expr.Var "G");
       Expr.Powerset (Expr.proj_attrs [ 1 ] (Expr.Var "G"));
       Derived.indeg_gt_outdeg (Expr.Var "G") (Expr.atom "b");
     ]
-  in
-  List.iter
-    (fun q ->
-      let v, _ = Explain.run ~env q in
-      Alcotest.check value "profiled result equals Eval" (Eval.eval env q) v)
-    queries
+
+let test_agrees_with_eval () = agrees_with_eval Veval.Tree
 
 let test_binder_call_counts () =
-  (* map body runs once per distinct member *)
-  let q = Expr.proj_attrs [ 1 ] (Expr.Var "G") in
-  let _, p = Explain.run ~env q in
-  (match find_op "tuple" p with
-  | Some body -> Alcotest.(check int) "3 body evaluations" 3 body.Explain.calls
+  (* a general map body runs once per distinct member ... *)
+  let q =
+    Expr.Map
+      ("x", Expr.Tuple [ Expr.Proj (2, Expr.Var "x"); Expr.atom "k" ], Expr.Var "G")
+  in
+  let _, a = analyze q in
+  (match find_an "tuple" a with
+  | Some body -> Alcotest.(check int) "3 body evaluations" 3 body.Explain.an_calls
   | None -> Alcotest.fail "no tuple node");
-  match find_op "map" p with
+  (match find_an "map" a with
   | Some m ->
-      Alcotest.(check int) "map evaluated once" 1 m.Explain.calls;
-      Alcotest.(check int) "result support" 3 m.Explain.max_support
-  | None -> Alcotest.fail "no map node"
+      Alcotest.(check int) "map evaluated once" 1 m.Explain.an_calls;
+      Alcotest.(check int) "result support" 3 m.Explain.an_actual
+  | None -> Alcotest.fail "no map node");
+  (* ... while a projection runs as the proj kernel, whose body never runs *)
+  let _, a = analyze (Expr.proj_attrs [ 1 ] (Expr.Var "G")) in
+  match find_an "tuple" a with
+  | Some body -> Alcotest.(check int) "proj kernel skips the body" 0 body.Explain.an_calls
+  | None -> Alcotest.fail "no tuple node"
 
 let test_fixpoint_iterations_visible () =
   let q = Derived.transitive_closure (Expr.Var "G") in
-  let _, p = Explain.run ~env q in
-  match find_op "bfix" p with
+  let _, a = analyze q in
+  match find_an "bfix" a with
   | Some fx ->
-      Alcotest.(check bool) "fixpoint recorded" true (fx.Explain.calls >= 1);
+      Alcotest.(check bool) "fixpoint recorded" true (fx.Explain.an_calls >= 1);
       (* the body (second child: bound, body, seed) iterates; its union_max
          runs once per fixpoint step *)
-      let body_profile = List.nth fx.Explain.children 1 in
-      let body = find_op "union_max" body_profile in
+      let body = find_an "union_max" (List.nth fx.Explain.an_children 1) in
       Alcotest.(check bool) "body iterated" true
-        ((Option.get body).Explain.calls >= 2)
+        ((Option.get body).Explain.an_calls >= 2)
   | None -> Alcotest.fail "no bfix node"
 
+let expect_support_verdict what = function
+  | Error { Budget.resource = Budget.Support; op = "powerset"; _ } -> ()
+  | Error x -> Alcotest.failf "%s: wrong verdict %s" what (Budget.exhaustion_to_string x)
+  | Ok _ -> Alcotest.failf "%s: expected a support verdict" what
+
+let small = { Budget.default with Budget.max_support = 3 }
+
 let test_guard_fires () =
-  let config = { Eval.default_config with Eval.max_support = 3 } in
   let q = Expr.Powerset (Expr.proj_attrs [ 1 ] (Expr.Var "G")) in
-  match Explain.run ~config ~env q with
-  | exception Eval.Resource_limit _ -> ()
-  | _ -> Alcotest.fail "expected a guard exception"
+  expect_support_verdict "analyze"
+    (Explain.analyze ~limits:small ~env ~vals ~tenv ~engine:Veval.Tree q)
 
 let test_rendering () =
-  let q = Derived.selfjoin (Expr.Var "G") in
-  let _, p = Explain.run ~env q in
-  let s = Explain.profile_to_string p in
+  let _, a = analyze (Derived.selfjoin (Expr.Var "G")) in
+  let s = Explain.analysis_to_string a in
   Alcotest.(check bool) "mentions product" true
-    (String.length s > 0
-    && List.exists
-         (fun line ->
-           String.length (String.trim line) > 0
-           && String.starts_with ~prefix:"product" (String.trim line))
-         (String.split_on_char '\n' s))
+    (List.exists
+       (fun line -> String.starts_with ~prefix:"product" (String.trim line))
+       (String.split_on_char '\n' s))
 
 (* --engine vec: the explain output is the executed plan — same result as
    Eval, engine labels on every node, kernels and fallbacks side by side. *)
@@ -83,24 +103,13 @@ let test_rendering () =
 let rec plan_engines (p : Veval.plan) =
   p.Veval.p_engine :: List.concat_map plan_engines p.Veval.p_children
 
-let test_vec_agrees_with_eval () =
-  let queries =
-    [
-      Derived.selfjoin (Expr.Var "G");
-      Derived.transitive_closure (Expr.Var "G");
-      Expr.Powerset (Expr.proj_attrs [ 1 ] (Expr.Var "G"));
-    ]
-  in
-  List.iter
-    (fun q ->
-      let v, _ = Explain.run_vec ~env q in
-      Alcotest.check value "vec-profiled result equals Eval" (Eval.eval env q)
-        v)
-    queries
+let test_vec_agrees_with_eval () = agrees_with_eval Veval.Vec
 
 let test_vec_plan_labels () =
   let q = Expr.Powerset (Expr.proj_attrs [ 1 ] (Expr.Var "G")) in
-  let _, plan = Explain.run_vec ~env q in
+  let plan = ref None in
+  ignore (Veval.run ~report:(fun p -> plan := Some p) env q);
+  let plan = Option.get !plan in
   let engines = plan_engines plan in
   Alcotest.(check string) "powerset on the tree path" "tree" plan.Veval.p_engine;
   Alcotest.(check bool) "some subtree ran a vec kernel" true
@@ -116,25 +125,17 @@ let test_vec_plan_labels () =
          (String.split_on_char '\n' s))
 
 let test_vec_guard_fires () =
-  let config = { Eval.default_config with Eval.max_support = 3 } in
   let q = Expr.Powerset (Expr.proj_attrs [ 1 ] (Expr.Var "G")) in
-  match Explain.run_vec ~config ~env q with
-  | exception Eval.Resource_limit _ -> ()
-  | _ -> Alcotest.fail "expected a guard exception"
+  expect_support_verdict "analyze --engine vec"
+    (Explain.analyze ~limits:small ~env ~vals ~tenv ~engine:Veval.Vec q);
+  expect_support_verdict "vec run" (Veval.run ~limits:small env q)
 
 (* --- EXPLAIN ANALYZE: measured vs estimated, and calibration -------------- *)
 
-let tenv = Typecheck.env_of_list [ ("G", Ty.relation 2) ]
-let vals = [ ("G", g) ]
-
-let rec find_an op (a : Explain.annotated) =
-  if a.Explain.an_op = op then Some a
-  else List.find_map (find_an op) a.Explain.an_children
-
 let test_analyze_tree () =
   let q = Derived.selfjoin (Expr.Var "G") in
-  let v, a = Explain.analyze ~env ~vals ~tenv ~engine:Veval.Tree q in
-  Alcotest.check value "analyzed result equals Eval" (Eval.eval env q) v;
+  let v, a = analyze q in
+  Alcotest.check value "analyzed result equals Eval" (eval_ok q) v;
   (match find_an "var G" a with
   | Some leaf ->
       Alcotest.(check bool) "leaf estimate is exact" true leaf.Explain.an_exact;
@@ -170,8 +171,8 @@ let test_analyze_tree () =
    the tree measurement run) with per-subtree engine labels attached. *)
 let test_analyze_vec_identical () =
   let q = Derived.selfjoin (Expr.Var "G") in
-  let v_tree, _ = Explain.analyze ~env ~vals ~tenv ~engine:Veval.Tree q in
-  let v_vec, a = Explain.analyze ~env ~vals ~tenv ~engine:Veval.Vec q in
+  let v_tree, _ = analyze q in
+  let v_vec, a = analyze ~engine:Veval.Vec q in
   Alcotest.check value "vec analyze equals tree analyze" v_tree v_vec;
   Alcotest.(check bool) "vec analyze equals Value.hash too" true
     (Value.hash v_tree = Value.hash v_vec);
@@ -184,7 +185,7 @@ let test_analyze_vec_identical () =
 
 let test_calibration_of_roundtrip () =
   let q = Derived.selfjoin (Expr.Var "G") in
-  let _, a = Explain.analyze ~env ~vals ~tenv ~engine:Veval.Tree q in
+  let _, a = analyze q in
   let c = Explain.calibration_of a in
   Alcotest.(check bool) "heuristic operators calibrated" true
     (Calib.entries c <> []);
@@ -209,6 +210,50 @@ let test_calibration_of_roundtrip () =
                 true
                 (abs_float (f -. e.Calib.c_factor) < 1e-4))
         (Calib.entries c)
+
+(* The measured column is the span tree of the governed run — the one
+   eval --stats prints — node for node, on the CI calibration query. *)
+let test_analyze_agrees_with_stats () =
+  let q =
+    Baglang.Parser.expr_of_string "pi[1,4](select(p -> p.2 == p.3, G * G))"
+  in
+  let t = Telemetry.create () in
+  ignore (Eval.run ~telemetry:t env q);
+  let _, a = analyze q in
+  let next = ref 0 in
+  let rec check (a : Explain.annotated) =
+    incr next;
+    (match Telemetry.find t !next with
+    | Some sp ->
+        let what = Printf.sprintf "node %d (%s)" !next a.Explain.an_op in
+        Alcotest.(check string) (what ^ " op") sp.Telemetry.op a.Explain.an_op;
+        Alcotest.(check int) (what ^ " calls") sp.Telemetry.invocations
+          a.Explain.an_calls;
+        Alcotest.(check int) (what ^ " peak support") sp.Telemetry.peak_support
+          a.Explain.an_actual
+    | None -> Alcotest.failf "no span for node %d" !next);
+    List.iter check a.Explain.an_children
+  in
+  check a;
+  Alcotest.(check int) "every span annotated" !next
+    (let n = ref 0 in
+     Telemetry.iter t (fun _ -> incr n);
+     !n)
+
+(* explain inherits the evaluator's fault sites: a firing eval.step is an
+   Injected verdict, on both engines, not an escaped exception. *)
+let test_analyze_faults () =
+  List.iter
+    (fun engine ->
+      match
+        Fault.with_faults "eval.step:p=1" (fun () ->
+            Explain.analyze ~env ~vals ~tenv ~engine
+              (Derived.selfjoin (Expr.Var "G")))
+      with
+      | Error { Budget.resource = Budget.Injected; op = "eval.step"; _ } -> ()
+      | Error x -> Alcotest.failf "wrong verdict %s" (Budget.exhaustion_to_string x)
+      | Ok _ -> Alcotest.fail "expected an injected-fault verdict")
+    [ Veval.Tree; Veval.Vec ]
 
 let test_calib_parser_rejects () =
   (match Calib.of_string "join 2.0 1\n" with
@@ -279,5 +324,9 @@ let () =
           Alcotest.test_case "calibration save/load" `Quick
             test_calib_save_load;
           Alcotest.test_case "op_key strips parameters" `Quick test_op_key;
+          Alcotest.test_case "agrees with eval --stats" `Quick
+            test_analyze_agrees_with_stats;
+          Alcotest.test_case "injected faults are verdicts" `Quick
+            test_analyze_faults;
         ] );
     ]

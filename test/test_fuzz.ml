@@ -9,13 +9,11 @@ module Lexer = Baglang.Lexer
 let env_spec = [ ("R", 1); ("S", 2) ]
 let tenv = Typecheck.env_of_list (Baggen.Genexpr.env_types env_spec)
 
-let small_config =
-  { Eval.default_config with Eval.max_support = 50_000; max_count_digits = 200 }
+let small_limits =
+  { Budget.default with Budget.max_support = 50_000; max_count_digits = 200 }
 
 let eval_guarded inst e =
-  match Eval.eval ~config:small_config (Eval.env_of_list inst) e with
-  | v -> Some v
-  | exception Eval.Resource_limit _ -> None
+  Result.to_option (Eval.run ~limits:small_limits (Eval.env_of_list inst) e)
 
 (* BALG^2 expressions: always well-typed, and evaluation (when it fits the
    guard) produces a value of the inferred type *)

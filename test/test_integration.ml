@@ -31,14 +31,13 @@ let pipeline query =
   let e', _rules = Rewrite.normalize tenv e in
   let ty' = Typecheck.infer tenv e' in
   Alcotest.(check bool) "normalization preserves type" true (Ty.equal ty ty');
-  let v = Veval.eval_engine engine venv e
-  and v' = Veval.eval_engine engine venv e' in
+  let run e = Expect.ok (Veval.run_engine engine venv e) in
+  let v = run e and v' = run e' in
   Alcotest.check value "normalization preserves value" v v';
   (* the CI optimizer leg (BALG_OPT=cost) drives every pipeline through
      the cost-based planner as well *)
   let e_opt = Opt.prepare (Opt.default_mode ()) tenv e in
-  Alcotest.check value "optimization preserves value" v
-    (Veval.eval_engine engine venv e_opt);
+  Alcotest.check value "optimization preserves value" v (run e_opt);
   v
 
 let test_follower_counts () =
@@ -78,7 +77,9 @@ let test_nested_powerset_pipeline () =
 
 (* --- evaluator edge cases -------------------------------------------------- *)
 
-let ev ?config ?(env = []) e = Eval.eval ?config (Eval.env_of_list env) e
+let run ?limits ?(env = []) e = Eval.run ?limits (Eval.env_of_list env) e
+
+let ev ?env e = Expect.ok (run ?env e)
 
 let test_empty_bag_ops () =
   let e1 = Expr.empty (Ty.relation 1) in
@@ -131,49 +132,46 @@ let test_select_with_bag_conditions () =
 (* --- resource guards -------------------------------------------------------- *)
 
 let test_support_guard () =
-  let config = { Eval.default_config with Eval.max_support = 10 } in
+  let limits = { Budget.default with Budget.max_support = 10 } in
   let big =
     Value.bag_of_list
       (List.init 20 (fun i -> Value.tuple [ Value.atom (string_of_int i) ]))
   in
-  match ev ~config Expr.(Expr.lit big (Ty.relation 1) *** Expr.lit big (Ty.relation 1)) with
-  | exception Eval.Resource_limit _ -> ()
-  | _ -> Alcotest.fail "expected Resource_limit on support"
+  match run ~limits Expr.(Expr.lit big (Ty.relation 1) *** Expr.lit big (Ty.relation 1)) with
+  | Error { Budget.resource = Budget.Support; _ } -> ()
+  | _ -> Alcotest.fail "expected a support verdict"
 
 let test_digit_guard () =
-  let config = { Eval.default_config with Eval.max_count_digits = 5 } in
+  let limits = { Budget.default with Budget.max_count_digits = 5 } in
   (* repeated squaring of multiplicities: 10 -> 100 -> 10^4 -> 10^8 *)
   let b = Expr.lit (Value.replicate (Bignat.of_int 10) (Value.tuple [ Value.atom "a" ])) (Ty.relation 1) in
   let rec squared k e = if k = 0 then e else squared (k - 1) (Expr.proj_attrs [ 1 ] Expr.(e *** e)) in
-  match ev ~config (squared 3 b) with
-  | exception Eval.Resource_limit _ -> ()
-  | _ -> Alcotest.fail "expected Resource_limit on digits"
+  match run ~limits (squared 3 b) with
+  | Error { Budget.resource = Budget.Count_digits; _ } -> ()
+  | _ -> Alcotest.fail "expected a count-digits verdict"
 
 let test_powerset_guard_through_eval () =
   (* the powerset guard is unified into the budget governor: what used to
-     escape as the ad-hoc [Bag.Too_large] is now a located budget verdict
-     (Resource_limit through the legacy wrapper, Error through Eval.run) *)
-  let config = { Eval.default_config with Eval.max_support = 100 } in
+     escape as the ad-hoc [Bag.Too_large] is now a located budget verdict *)
   let b = Expr.lit (Value.replicate (Bignat.of_int 500) (Value.atom "a")) (Ty.Bag Ty.Atom) in
-  (match ev ~config (Expr.Powerset b) with
-  | exception Eval.Resource_limit _ -> ()
-  | _ -> Alcotest.fail "expected Resource_limit");
   match
-    Eval.run
-      ~limits:{ Budget.default with Budget.max_support = 100 }
-      (Eval.env_of_list []) (Expr.Powerset b)
+    run ~limits:{ Budget.default with Budget.max_support = 100 } (Expr.Powerset b)
   with
   | Error { Budget.resource = Budget.Support; op = "powerset"; _ } -> ()
   | Error x -> Alcotest.fail ("wrong verdict: " ^ Budget.exhaustion_to_string x)
   | Ok _ -> Alcotest.fail "expected Budget_exceeded"
 
 let test_meters_cardinal () =
-  let meters = Eval.fresh_meters () in
+  let t = Telemetry.create () in
   let b = Expr.lit (Value.replicate (Bignat.of_int 7) (Value.tuple [ Value.atom "a" ])) (Ty.relation 1) in
-  ignore (Eval.eval ~meters (Eval.env_of_list []) Expr.(b *** b));
-  Alcotest.(check string) "cardinal meter sees 49" "49"
-    (Bignat.to_string meters.Eval.max_cardinal_seen);
-  Alcotest.(check bool) "ops counted" true (meters.Eval.ops > 0)
+  ignore (Eval.run ~telemetry:t (Eval.env_of_list []) Expr.(b *** b));
+  let card = ref Bignat.zero in
+  Telemetry.iter t (fun sp ->
+      if Bignat.compare sp.Telemetry.peak_cardinal !card > 0 then
+        card := sp.Telemetry.peak_cardinal);
+  Alcotest.(check string) "peak cardinality sees 49" "49" (Bignat.to_string !card);
+  Alcotest.(check bool) "invocations counted" true
+    (Telemetry.total_invocations t > 0)
 
 (* --- CLI-facing behaviours through the library ----------------------------- *)
 

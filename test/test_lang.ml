@@ -6,6 +6,8 @@ module Lexer = Baglang.Lexer
 module Parser = Baglang.Parser
 module Bagdb = Baglang.Bagdb
 
+let eval_ok env e = Expect.ok (Eval.run env e)
+
 let value = Alcotest.testable Value.pp Value.equal
 let ty = Alcotest.testable Ty.pp Ty.equal
 
@@ -90,7 +92,7 @@ let test_parse_projection () =
   let g =
     Value.bag_of_list [ Value.tuple [ Value.atom "a"; Value.atom "b" ] ]
   in
-  let v = Eval.eval (Eval.env_of_list [ ("G", g) ]) e in
+  let v = eval_ok (Eval.env_of_list [ ("G", g) ]) e in
   Alcotest.check value "swap via surface syntax"
     (Value.bag_of_list [ Value.tuple [ Value.atom "b"; Value.atom "a" ] ])
     v
@@ -122,7 +124,7 @@ let test_parse_eval_pipeline () =
       "pi[2](select(x -> x.2 == 'a, G)) -- pi[1](select(x -> x.1 == 'a, G))"
   in
   ignore (Typecheck.infer (Bagdb.type_env db) q);
-  let v = Eval.eval (Bagdb.value_env db) q in
+  let v = eval_ok (Bagdb.value_env db) q in
   Alcotest.(check bool) "indeg(a) > outdeg(a)" true (Eval.truthy v)
 
 (* --- bagdb ------------------------------------------------------------------ *)

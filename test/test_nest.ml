@@ -19,7 +19,7 @@ let sales =
       (t2 "bob" "widget", B.of_int 2);
     ]
 
-let ev ?(env = []) e = Eval.eval (Eval.env_of_list env) e
+let ev ?(env = []) e = Expect.ok (Eval.run (Eval.env_of_list env) e)
 let lit2 = Expr.lit sales (Ty.relation 2)
 
 let test_nest_semantics () =

@@ -240,6 +240,45 @@ let check_balanced evs =
         Alcotest.failf "tid %d: %d spans left open" tid (List.length stack))
     stacks
 
+(* Systhreads of one domain share its ring.  Right after [enable] every
+   domain's ring is stale, so the first emits of concurrent systhreads
+   race to install a fresh one; a second domain holding the ring registry
+   lock makes the race likely (the loser blocks inside ring creation and
+   the other systhreads run).  Two rings for one domain would split a
+   lane's B and E across rings, and the export, ring by ring, would show
+   an E before its B.  The race is probabilistic: without the locked
+   re-check this case failed in about two of three runs on a 2-CPU host. *)
+let test_systhread_ring_creation () =
+  let stop = Atomic.make false in
+  let prober =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          ignore (Obs.dropped ())
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join prober)
+    (fun () ->
+      for _ = 1 to 400 do
+        with_obs ~capacity:128 (fun () ->
+            let threads =
+              List.init 8 (fun i ->
+                  Thread.create
+                    (fun () ->
+                      let tid = Obs.lane_session i in
+                      for _ = 1 to 4 do
+                        if Obs.on () then Obs.emit ~tid Obs.B ~cat:"t" ~name:"req";
+                        Thread.yield ();
+                        if Obs.on () then Obs.emit ~tid Obs.E ~cat:"t" ~name:"req"
+                      done)
+                    ())
+            in
+            List.iter Thread.join threads;
+            check_balanced (Obs.events ()))
+      done)
+
 let sum_eval_steps evs =
   List.fold_left
     (fun acc e ->
@@ -351,6 +390,8 @@ let () =
           Alcotest.test_case "cross-domain rings" `Quick
             test_cross_domain_rings;
           Alcotest.test_case "exporter shapes" `Quick test_exporter_shapes;
+          Alcotest.test_case "systhreads share one ring" `Quick
+            test_systhread_ring_creation;
         ] );
       ( "trace invariants",
         [

@@ -10,7 +10,7 @@ open Balg
 let env_spec = [ ("R", 1); ("S", 2) ]
 let tenv = Typecheck.env_of_list (Baggen.Genexpr.env_types env_spec)
 let value = Alcotest.testable Value.pp Value.equal
-let eval_on inst e = Eval.eval (Eval.env_of_list inst) e
+let eval_on inst e = Expect.ok (Eval.run (Eval.env_of_list inst) e)
 
 let equivalent_bag ?(trials = 25) rng e1 e2 =
   List.for_all
@@ -204,20 +204,19 @@ let test_mode_parsing () =
 (* Tight materialisation guards keep the generated-query sweeps fast: a
    nested query that would blow past these bounds costs a guard trip, not
    minutes of powerset construction. *)
-let small_config =
-  { Eval.default_config with Eval.max_support = 20_000; max_count_digits = 120 }
+let small_limits =
+  { Budget.default with Budget.max_support = 20_000; max_count_digits = 120 }
 
 let eval_with engine inst e =
-  Veval.eval_engine engine ~config:small_config (Eval.env_of_list inst) e
+  Expect.ok (Veval.run_engine engine ~limits:small_limits (Eval.env_of_list inst) e)
 
 (* Nested queries can legitimately exhaust the default materialisation
    guards (powerset over powerset), and optimization changes how much an
    expression materialises — so a guard trip on either side is tolerated;
    only two finished runs are compared, bit for bit. *)
 let guarded engine inst e =
-  match eval_with engine inst e with
-  | v -> Some v
-  | exception Eval.Resource_limit _ -> None
+  Result.to_option
+    (Veval.run_engine engine ~limits:small_limits (Eval.env_of_list inst) e)
 
 let prop_opt_differential engine engine_name gen gen_name count =
   QCheck.Test.make

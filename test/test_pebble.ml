@@ -49,7 +49,7 @@ let test_phi_distinguishes () =
       let g = C.g_balanced n and g' = C.g_flipped n in
       let run graph =
         let env = Eval.env_of_list [ ("G", C.edges_value graph) ] in
-        Eval.truthy (Eval.eval env (C.phi_query graph))
+        Eval.truthy (Expect.ok (Eval.run env (C.phi_query graph)))
       in
       (* also check the query typechecks at bag nesting 2 *)
       let tenv = Typecheck.env_of_list [ ("G", C.edge_ty) ] in

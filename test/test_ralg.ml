@@ -5,6 +5,8 @@ module B = Bignat
 module Rel = Ralg.Rel
 module Reval = Ralg.Reval
 
+let eval_ok env e = Expect.ok (Eval.run env e)
+
 let value = Alcotest.testable Value.pp Value.equal
 
 let rel1 l = Value.bag_of_list (List.map (fun x -> Value.tuple [ Value.atom x ]) l)
@@ -60,7 +62,7 @@ let test_reval_union_semantics () =
     (ev_set ~env:[ ("G", g) ] (Expr.proj_attrs [ 1 ] (Expr.Var "G")));
   (* the bag evaluator keeps the multiplicity 2 *)
   let bag_result =
-    Eval.eval (Eval.env_of_list [ ("G", g) ]) (Expr.proj_attrs [ 1 ] (Expr.Var "G"))
+    eval_ok (Eval.env_of_list [ ("G", g) ]) (Expr.proj_attrs [ 1 ] (Expr.Var "G"))
   in
   Alcotest.(check string) "bag projection keeps count" "2"
     (B.to_string (Value.count_in (Value.tuple [ Value.atom "a" ]) bag_result))
@@ -101,7 +103,7 @@ let prop42_membership =
           (fun (name, v) -> (name, Bag.dedup v))
           (Baggen.Genexpr.instance rng env_spec)
       in
-      let bag_result = Eval.eval (Eval.env_of_list inst) e in
+      let bag_result = eval_ok (Eval.env_of_list inst) e in
       let set_env = Reval.env_of_list inst in
       let set_result = Reval.eval set_env e in
       (* same support *)
@@ -115,7 +117,7 @@ let test_prop42_sharpness () =
   let g = rel2 [ ("a", "b"); ("a", "c") ] and r = rel1 [ "a" ] in
   let e = Expr.(Expr.proj_attrs [ 1 ] (Var "G") -- Var "R") in
   let env = [ ("G", g); ("R", r) ] in
-  let bag_result = Eval.eval (Eval.env_of_list env) e in
+  let bag_result = eval_ok (Eval.env_of_list env) e in
   let set_result = Reval.eval (Reval.env_of_list env) e in
   Alcotest.(check bool) "bag result nonempty" true (Eval.truthy bag_result);
   Alcotest.(check bool) "set result empty" true (Value.is_empty_bag set_result)

@@ -9,7 +9,7 @@ module Reval = Ralg.Reval
 let env_spec = [ ("R", 1); ("S", 2) ]
 let tenv = Typecheck.env_of_list (Baggen.Genexpr.env_types env_spec)
 
-let eval_on inst e = Eval.eval (Eval.env_of_list inst) e
+let eval_on inst e = Expect.ok (Eval.run (Eval.env_of_list inst) e)
 
 let equivalent_bag ?(trials = 25) rng e1 e2 =
   List.for_all

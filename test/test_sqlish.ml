@@ -36,7 +36,7 @@ let env = Eval.env_of_list [ ("Orders", orders); ("Products", products) ]
 let run q =
   let e = Sql.compile ~tables q in
   ignore (Typecheck.infer (Sql.type_env tables) e);
-  Eval.eval env e
+  Expect.ok (Eval.run env e)
 
 let test_projection_keeps_duplicates () =
   let q =

@@ -25,23 +25,15 @@ let with_test_pool f =
 let value = Alcotest.testable Value.pp Value.equal
 let env_spec = [ ("R", 1); ("S", 2) ]
 
-let small_config =
-  { Eval.default_config with Eval.max_support = 50_000; max_count_digits = 200 }
+let small_limits =
+  { Budget.default with Budget.max_support = 50_000; max_count_digits = 200 }
 
 (* Both engines under the same guard: bit-identical values (hash tags
    included) when both finish; when a budget trips, both must trip. *)
 let agree inst e =
   let env = Eval.env_of_list inst in
-  let tree =
-    match Eval.eval ~config:small_config env e with
-    | v -> Some v
-    | exception Eval.Resource_limit _ -> None
-  in
-  let vec =
-    match Veval.eval ~config:small_config env e with
-    | v -> Some v
-    | exception Eval.Resource_limit _ -> None
-  in
+  let tree = Result.to_option (Eval.run ~limits:small_limits env e) in
+  let vec = Result.to_option (Veval.run ~limits:small_limits env e) in
   match (tree, vec) with
   | Some v, Some w -> Value.equal v w && Value.hash v = Value.hash w
   | None, None -> true
@@ -237,7 +229,7 @@ let test_plan_labels () =
   in
   let plan = ref None in
   (match Veval.run ~report:(fun p -> plan := Some p) env q with
-  | Ok v -> Alcotest.check value "matches tree" (Eval.eval env q) v
+  | Ok v -> Alcotest.check value "matches tree" (Expect.ok (Eval.run env q)) v
   | Error _ -> Alcotest.fail "unexpected verdict");
   match !plan with
   | None -> Alcotest.fail "no plan reported"
