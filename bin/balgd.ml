@@ -228,15 +228,15 @@ let engine_arg =
 
 let optimize_arg =
   let mode_conv =
-    Arg.enum [ ("off", Opt.Off); ("rules", Opt.Rules); ("cost", Opt.Cost) ]
+    Arg.enum [ ("off", Opt.Off); ("cost", Opt.Cost) ]
   in
   Arg.(
     value
     & opt mode_conv (Opt.default_mode ())
     & info [ "optimize" ] ~docv:"MODE"
         ~doc:
-          "Default optimizer mode for new sessions: $(b,off), $(b,rules) \
-           or $(b,cost).  Sessions override with $(b,set optimize=...).  \
+          "Default optimizer mode for new sessions: $(b,off) or \
+           $(b,cost).  Sessions override with $(b,set optimize=...).  \
            $(b,BALG_OPT) sets the default.")
 
 let cache_arg =

@@ -15,7 +15,7 @@
    and partial telemetry printed.  --retry-degrade re-runs the normalized
    plan under a fresh budget (same limits) after a first exhaustion.
    --fault/--fault-seed (or BALG_FAULT/BALG_FAULT_SEED) arm the
-   deterministic fault-injection sites.  --optimize off|rules|cost (or
+   deterministic fault-injection sites.  --optimize off|cost (or
    BALG_OPT) runs the plan optimizer between typechecking and evaluation;
    explain prints its decision log — every rewrite considered, with cost
    estimates, applied or rejected.  --stats prints the telemetry span
@@ -71,7 +71,7 @@ let ( let* ) r k =
 type opts = {
   limits : Budget.limits;
   engine : Veval.engine;  (** --engine: tree (default) or vec *)
-  optimize : Opt.mode;  (** --optimize: off (default), rules or cost *)
+  optimize : Opt.mode;  (** --optimize: off (default) or cost *)
   stats : bool;
   trace : bool;
   stats_sort : Telemetry.sort;  (** --stats-sort column *)
@@ -328,7 +328,8 @@ let run_explain db_path engine optimize analyze calibration calibration_out
       Opt.optimize ~vals:(db_vals db) ~engine optimize (Bagdb.type_env db) e
     with
     | e', report ->
-        print_string (Opt.report_to_string report);
+        print_string
+          (Opt.report_to_string ~vals:(db_vals db) (Bagdb.type_env db) report);
         e'
     | exception exn ->
         Printf.eprintf "optimizer error (running unoptimized): %s\n"
@@ -676,15 +677,14 @@ let engine_arg =
 
 let optimize_arg =
   let mode_conv =
-    Arg.enum [ ("off", Opt.Off); ("rules", Opt.Rules); ("cost", Opt.Cost) ]
+    Arg.enum [ ("off", Opt.Off); ("cost", Opt.Cost) ]
   in
   Arg.(
     value
     & opt mode_conv (Opt.default_mode ())
     & info [ "optimize" ] ~docv:"MODE"
         ~doc:
-          "Plan optimization before evaluation: $(b,off) (default), \
-           $(b,rules) (apply the rewrite families unconditionally) or \
+          "Plan optimization before evaluation: $(b,off) (default) or \
            $(b,cost) (gate every rewrite on the property-driven cost \
            model).  Optimized plans produce bit-identical results on both \
            engines.  The default can also be set with $(b,BALG_OPT).")

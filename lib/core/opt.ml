@@ -17,24 +17,22 @@
 
     In [Cost] mode every candidate rewrite is gated by a cost model over
     {!Props} estimates with per-engine kernel constants (the vectorized
-    kernels of {!Vec} are charged less than the boxed tree walk); in
-    [Rules] mode the families apply unconditionally; [Off] is the
-    identity.  Every decision — applied or rejected — is recorded with
-    both cost figures so [balgi explain] can show the chosen plan next to
-    the roads not taken.
+    kernels of {!Vec} are charged less than the boxed tree walk); [Off]
+    is the identity.  Every decision — applied or rejected — is recorded
+    with both cost figures so [balgi explain] can show the chosen plan
+    next to the roads not taken.
 
     The [opt.rewrite] fault site makes planning chaos-testable: a firing
     hit abandons the remaining rewrites and ships the expression as-is,
     so an armed optimiser can only lose speed, never correctness. *)
 
-type mode = Off | Rules | Cost
+type mode = Off | Cost
 
-let mode_to_string = function Off -> "off" | Rules -> "rules" | Cost -> "cost"
+let mode_to_string = function Off -> "off" | Cost -> "cost"
 
 let mode_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "off" -> Some Off
-  | "rules" -> Some Rules
   | "cost" -> Some Cost
   | _ -> None
 
@@ -309,10 +307,6 @@ type report = {
   r_engine : Veval.engine;
   r_input : Expr.t;
   r_output : Expr.t;
-  r_input_cost : float;
-  r_output_cost : float;
-  r_input_props : Props.t;
-  r_output_props : Props.t;
   r_decisions : decision list;
   r_faulted : bool;
 }
@@ -329,12 +323,7 @@ let optimize ?(vals = []) ?(engine = Veval.Tree) mode tenv e0 =
       incr ndec
     end
   in
-  let accept cb ca =
-    match mode with
-    | Rules -> true
-    | Cost -> if !invert_cost then ca > cb else ca < cb
-    | Off -> false
-  in
+  let accept cb ca = if !invert_cost then ca > cb else ca < cb in
   let all_rules = Rewrite.sound_rules @ rules in
   let changed_in_pass = ref false in
   let try_node e =
@@ -395,17 +384,13 @@ let optimize ?(vals = []) ?(engine = Veval.Tree) mode tenv e0 =
       if !changed_in_pass then passes (n - 1) e' else e'
     end
   in
-  let output = match mode with Off -> e0 | Rules | Cost -> passes max_passes e0 in
+  let output = match mode with Off -> e0 | Cost -> passes max_passes e0 in
   let report =
     {
       r_mode = mode;
       r_engine = engine;
       r_input = e0;
       r_output = output;
-      r_input_cost = cost ~vals engine tenv e0;
-      r_output_cost = cost ~vals engine tenv output;
-      r_input_props = Props.infer ~vals tenv e0;
-      r_output_props = Props.infer ~vals tenv output;
       r_decisions = List.rev !decisions;
       r_faulted = !faulted;
     }
@@ -426,18 +411,19 @@ let truncate_expr width e =
   let s = Expr.to_string e in
   if String.length s <= width then s else String.sub s 0 (width - 3) ^ "..."
 
-let report_to_string r =
+let report_to_string ?(vals = []) tenv r =
   let b = Buffer.create 512 in
+  let figures e =
+    Printf.sprintf "cost=%.0f  props=%s"
+      (cost ~vals r.r_engine tenv e)
+      (Props.to_string (Props.infer ~vals tenv e))
+  in
   Buffer.add_string b
     (Printf.sprintf "optimizer: mode=%s engine=%s%s\n" (mode_to_string r.r_mode)
        (match r.r_engine with Veval.Tree -> "tree" | Veval.Vec -> "vec")
        (if r.r_faulted then "  [degraded: opt.rewrite fault]" else ""));
-  Buffer.add_string b
-    (Printf.sprintf "  input  cost=%.0f  props=%s\n" r.r_input_cost
-       (Props.to_string r.r_input_props));
-  Buffer.add_string b
-    (Printf.sprintf "  output cost=%.0f  props=%s\n" r.r_output_cost
-       (Props.to_string r.r_output_props));
+  Buffer.add_string b (Printf.sprintf "  input  %s\n" (figures r.r_input));
+  Buffer.add_string b (Printf.sprintf "  output %s\n" (figures r.r_output));
   if r.r_decisions = [] then
     Buffer.add_string b "  (no rewrite opportunities)\n"
   else

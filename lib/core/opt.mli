@@ -7,21 +7,21 @@
     selection/aggregate pushdown through [MAP] — run together with the
     sound laws of {!Rewrite}.  In {!Cost} mode each candidate is gated by
     a cost model over {!Props} estimates with per-engine kernel
-    constants; {!Rules} applies everything unconditionally; {!Off} is the
-    identity.  Optimised plans are bit-identical to the originals on both
-    engines (property-tested in [test/test_opt.ml]).
+    constants; {!Off} is the identity.  Optimised plans are bit-identical
+    to the originals on both engines (property-tested in
+    [test/test_opt.ml]).
 
     The [opt.rewrite] fault site aborts the remaining planning work when
     it fires, shipping the expression as-is: an armed optimiser can lose
     speed but never correctness. *)
 
-type mode = Off | Rules | Cost
+type mode = Off | Cost
 
 val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
 
 val default_mode : unit -> mode
-(** [BALG_OPT] env var ([off]/[rules]/[cost]); unknown values and an
+(** [BALG_OPT] env var ([off]/[cost]); unknown values and an
     unset variable mean {!Off}. *)
 
 val invert_cost : bool ref
@@ -60,10 +60,6 @@ type report = {
   r_engine : Veval.engine;
   r_input : Expr.t;
   r_output : Expr.t;
-  r_input_cost : float;
-  r_output_cost : float;
-  r_input_props : Props.t;
-  r_output_props : Props.t;
   r_decisions : decision list;
   r_faulted : bool;  (** the [opt.rewrite] fault cut planning short *)
 }
@@ -89,4 +85,7 @@ val prepare :
 (** {!optimize} for the evaluation path: never raises — any planning
     failure returns the expression unchanged. *)
 
-val report_to_string : report -> string
+val report_to_string :
+  ?vals:(string * Value.t) list -> Typecheck.env -> report -> string
+(** The [balgi explain] rendering.  Its input/output cost and {!Props}
+    lines are computed here, so planning never pays for them. *)

@@ -454,7 +454,7 @@ let run ?budget ?limits ?telemetry ?pool ?report env e =
       Eval.govern metrics ?budget ?limits ?telemetry ?pool ~engine:"vec" e
         (fun st -> as_value (compiled st (lift_env env))))
 
-let run_engine engine ?budget ?limits ?telemetry ?pool env e =
+let run_engine engine ?budget ?limits ?telemetry ?pool ?report env e =
   match engine with
   | Tree -> Eval.run ?budget ?limits ?telemetry ?pool env e
-  | Vec -> run ?budget ?limits ?telemetry ?pool env e
+  | Vec -> run ?budget ?limits ?telemetry ?pool ?report env e

@@ -69,7 +69,8 @@ val run :
 (** {1 Dispatch}
 
     One call site for both engines, so tests and tools honour
-    [BALG_ENGINE] / [--engine] with a single switch. *)
+    [BALG_ENGINE] / [--engine] with a single switch.  Only the vec
+    engine has a plan to [?report]. *)
 
 val run_engine :
   engine ->
@@ -77,6 +78,7 @@ val run_engine :
   ?limits:Budget.limits ->
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
+  ?report:(plan -> unit) ->
   Eval.env ->
   Expr.t ->
   (Value.t, Budget.exhaustion) result

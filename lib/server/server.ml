@@ -168,29 +168,119 @@ let log_line sv oc line =
    with Sys_error _ -> ());
   Mutex.unlock sv.log_mu
 
-let access_line sv ~sid ~req ~cmd ~dur_us ~outcome =
-  match sv.access_oc with
-  | None -> ()
-  | Some oc ->
-      log_line sv oc
-        (Printf.sprintf
-           "{\"ts\":%.6f,\"session\":%d,\"req\":%d,\"cmd\":%s,\"dur_us\":%d,\"outcome\":%s}"
-           (Unix.gettimeofday ()) sid req (json_str cmd) dur_us
-           (json_str outcome))
-
 let cmd_word line =
   let line = String.trim line in
   match String.index_opt line ' ' with
   | None -> if String.equal line "" then "empty" else line
   | Some i -> String.sub line 0 i
 
-let outcome_of_reply = function
-  | None -> "bye"
-  | Some r ->
-      if starts_with "err busy" r then "busy"
-      else if starts_with "err" r then "error"
-      else if starts_with "verdict" r then "verdict"
-      else "ok"
+let cmd_hist cmd =
+  match cmd with
+  | "eval" -> h_cmd_eval_ns
+  | "def" -> h_cmd_def_ns
+  | "drop" -> h_cmd_drop_ns
+  | _ -> h_cmd_other_ns
+
+(* --- the request record ----------------------------------------------------- *)
+
+(* How a request ended.  The access log and the session span spell a
+   verdict "verdict"; the slow log and the worker span name the
+   exhausted resource instead. *)
+type outcome =
+  [ `Ok | `Error | `Busy | `Verdict of Budget.resource | `Bye | `Exception ]
+
+let outcome_of_exec = function
+  | `Ok _ -> `Ok
+  | `Verdict x -> `Verdict x.Budget.resource
+  | `Fail _ -> `Error
+
+let access_outcome = function
+  | `Ok -> "ok"
+  | `Error -> "error"
+  | `Busy -> "busy"
+  | `Verdict _ -> "verdict"
+  | `Bye -> "bye"
+  | `Exception -> "exception"
+
+let eval_outcome = function
+  | `Verdict r -> Budget.resource_to_string r
+  | o -> access_outcome o
+
+(* One record per protocol command, minted in [respond] and closed by
+   [finish].  [query] is set once an eval reaches the cache probe; the
+   fields after it describe that eval.  The worker writes [outcome],
+   [plan] and [vplan]; the executor's result handoff (j_mu/j_cv) orders
+   those writes before [finish] reads them. *)
+type request = {
+  id : int;
+  sess : session;
+  cmd : string;
+  t0 : float;
+  mutable outcome : outcome;
+  mutable query : string option;
+  mutable cache : [ `Hit | `Miss ];
+  mutable plan : (Expr.t * Opt.decision list option) option;
+      (** the plan that ran and the optimizer's decisions ([None] when
+          planning failed); unset until evaluation returns *)
+  mutable vplan : Veval.plan option;  (** requested only with a slow log open *)
+  mutable queue_us : int;
+  mutable fuel : int;
+}
+
+let fail r msg =
+  r.outcome <- `Error;
+  msg
+
+(* The slow-query line carries everything needed to understand the
+   latency without re-running the query; it is rendered only here, when
+   it is about to be written. *)
+let slow_line r q ~ts ~dur_us =
+  let engine = Veval.engine_to_string r.sess.s_engine in
+  let plan, decisions, engines =
+    match (r.cache, r.plan) with
+    | `Hit, _ -> ("(cached)", "", engine)
+    | `Miss, None -> ("", "", "")
+    | `Miss, Some (p, decs) ->
+        ( Expr.to_string p,
+          (match decs with
+          | None -> "planning-failed"
+          | Some ds ->
+              String.concat " "
+                (List.map
+                   (fun d -> d.Opt.d_rule ^ if d.Opt.d_accepted then "+" else "-")
+                   ds)),
+          match r.vplan with
+          | Some vp -> one_line (Veval.plan_to_string vp)
+          | None -> engine )
+  in
+  Printf.sprintf
+    "{\"ts\":%.6f,\"session\":%d,\"req\":%d,\"dur_ms\":%.3f,\"query\":%s,\"plan\":%s,\"decisions\":%s,\"engine\":%s,\"cache\":%s,\"queue_us\":%d,\"fuel\":%d,\"outcome\":%s}"
+    ts r.sess.s_id r.id
+    (float_of_int dur_us /. 1e3)
+    (json_str q) (json_str plan) (json_str decisions) (json_str engines)
+    (json_str (match r.cache with `Hit -> "hit" | `Miss -> "miss"))
+    r.queue_us r.fuel
+    (json_str (eval_outcome r.outcome))
+
+(* Close a request: the session span, the per-command histogram and both
+   logs read one interval, reply rendering included. *)
+let finish sv r =
+  let ts = Unix.gettimeofday () in
+  let dur_us = int_of_float ((ts -. r.t0) *. 1e6) in
+  let outcome = access_outcome r.outcome in
+  if Obs.on () then Obs.emit Obs.E ~tid:(Obs.lane_session r.sess.s_id) ~cat:"session" ~name:"request" ~args:[ ("req", Obs.Int r.id); ("outcome", Obs.Str outcome); ("dur_us", Obs.Int dur_us) ];
+  Metrics.observe (cmd_hist r.cmd) (dur_us * 1000);
+  Option.iter
+    (fun oc ->
+      log_line sv oc
+        (Printf.sprintf
+           "{\"ts\":%.6f,\"session\":%d,\"req\":%d,\"cmd\":%s,\"dur_us\":%d,\"outcome\":%s}"
+           ts r.sess.s_id r.id (json_str r.cmd) dur_us (json_str outcome)))
+    sv.access_oc;
+  match (sv.slow_oc, r.query) with
+  | Some oc, Some q when float_of_int dur_us /. 1e3 >= sv.cfg.slow_ms ->
+      log_line sv oc (slow_line r q ~ts ~dur_us)
+  | _ -> ()
 
 (* Exactly-once close through the registry: both a session's own exit and
    a server-wide [stop] funnel here, so a file descriptor is never closed
@@ -221,16 +311,16 @@ let follower_status sv =
   Mutex.unlock sv.role_mu;
   Option.map Repl.status f
 
-(* [Some err] when this node must reject writes: a follower serves reads
-   only until it is promoted.  (A WAL failure is a different rejection —
-   the store itself answers that one.) *)
-let follower_guard sv =
+(* Run the write [f] on a primary; a follower serves reads only until it
+   is promoted.  (A WAL failure is a different rejection — the store
+   itself answers that one.) *)
+let writable sv r f =
   Mutex.lock sv.role_mu;
-  let r = sv.role in
+  let role = sv.role in
   Mutex.unlock sv.role_mu;
-  match r with
-  | `Primary -> None
-  | `Follower -> Some "err readonly: follower (promote to accept writes)"
+  match role with
+  | `Primary -> f ()
+  | `Follower -> fail r "err readonly: follower (promote to accept writes)"
 
 (* Promotion: stop the catch-up loop, seal the replicated log into a
    snapshot, flip the role.  The seal is best-effort — the WAL is intact
@@ -267,116 +357,75 @@ let role_line sv =
 
 let db_vals db = List.map (fun (n, _ty, v) -> (n, v)) db
 
-let handle_eval sv sess ~req q =
-  let lane = Obs.lane_session sess.s_id in
-  let t_start = Unix.gettimeofday () in
-  (* The slow-query log: one JSONL line per eval at or above the
-     threshold, carrying everything needed to understand the latency
-     without re-running the query. *)
-  let slow ~outcome ~cache ~plan ~decisions ~engines ~queue_us ~fuel =
-    match sv.slow_oc with
-    | None -> ()
-    | Some oc ->
-        let dur_ms = (Unix.gettimeofday () -. t_start) *. 1e3 in
-        if dur_ms >= sv.cfg.slow_ms then
-          log_line sv oc
-            (Printf.sprintf
-               "{\"ts\":%.6f,\"session\":%d,\"req\":%d,\"dur_ms\":%.3f,\"query\":%s,\"plan\":%s,\"decisions\":%s,\"engine\":%s,\"cache\":%s,\"queue_us\":%d,\"fuel\":%d,\"outcome\":%s}"
-               (Unix.gettimeofday ()) sess.s_id req dur_ms (json_str q)
-               (json_str plan) (json_str decisions) (json_str engines)
-               (json_str cache) queue_us fuel (json_str outcome))
-  in
+let handle_eval sv r q =
   match Parser.expr_of_string q with
   | exception Parser.Parse_error (msg, pos) ->
-      Printf.sprintf "err parse: offset %d: %s" pos msg
+      fail r (Printf.sprintf "err parse: offset %d: %s" pos msg)
   | exception Lexer.Lex_error (msg, pos) ->
-      Printf.sprintf "err parse: lex error at offset %d: %s" pos msg
+      fail r (Printf.sprintf "err parse: lex error at offset %d: %s" pos msg)
   | e -> (
       (* snapshot isolation: this request evaluates against the store as
          of now, no matter how many writes land while it waits or runs *)
       let db = Store.snapshot sv.store in
       match Typecheck.infer (Bagdb.type_env db) e with
-      | exception Typecheck.Type_error msg -> "err type: " ^ msg
+      | exception Typecheck.Type_error msg -> fail r ("err type: " ^ msg)
       | ty -> (
-          let ckey, rels =
-            Cache.key ~engine:sess.s_engine ~mode:sess.s_mode ~db e
-          in
+          let engine = r.sess.s_engine and mode = r.sess.s_mode in
+          r.query <- Some q;
+          let ckey, rels = Cache.key ~engine ~mode ~db e in
           match Cache.find sv.cache ~key:ckey ~rels with
           | Some (v, ty') ->
-              slow ~outcome:"ok" ~cache:"hit" ~plan:"(cached)" ~decisions:""
-                ~engines:(Veval.engine_to_string sess.s_engine) ~queue_us:0
-                ~fuel:0;
+              r.cache <- `Hit;
               Printf.sprintf "ok %s : %s" (Value.to_string v)
                 (Ty.to_string ty')
           | None -> (
               Metrics.incr m_evals;
-              let budget = Budget.create sess.s_limits in
-              let weight = sess.s_limits.Budget.fuel in
-              let engine = sess.s_engine and mode = sess.s_mode in
-              let sid = sess.s_id in
-              (* plan analytics escape the worker closure through a ref:
-                 the executor's result handoff (j_mu/j_cv) orders the
-                 worker's write before this thread's read *)
-              let details = ref ("", "", "") in
+              let budget = Budget.create r.sess.s_limits in
               let run () =
                 (* worker domain: plan, then evaluate under the armed
                    budget; the request span lands in the worker's own
                    trace ring, tied to the session span by the req id *)
-                if Obs.on () then Obs.emit Obs.B ~cat:"worker" ~name:"request" ~args:[ ("req", Obs.Int req); ("session", Obs.Int sid); ("engine", Obs.Str (Veval.engine_to_string engine)) ];
+                if Obs.on () then Obs.emit Obs.B ~cat:"worker" ~name:"request" ~args:[ ("req", Obs.Int r.id); ("session", Obs.Int r.sess.s_id); ("engine", Obs.Str (Veval.engine_to_string engine)) ];
                 let t0 = Unix.gettimeofday () in
-                let label = ref "error" in
+                (* until evaluation returns: an escaping exception is an
+                   error to the worker span and to the logs alike *)
+                r.outcome <- `Error;
                 Fun.protect
                   ~finally:(fun () ->
                     Metrics.observe h_request_ns
                       (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
-                    if Obs.on () then Obs.emit Obs.E ~cat:"worker" ~name:"request" ~args:[ ("req", Obs.Int req); ("session", Obs.Int sid); ("outcome", Obs.Str !label) ])
+                    if Obs.on () then Obs.emit Obs.E ~cat:"worker" ~name:"request" ~args:[ ("req", Obs.Int r.id); ("session", Obs.Int r.sess.s_id); ("outcome", Obs.Str (eval_outcome r.outcome)) ])
                   (fun () ->
-                    let plan, dec_s =
+                    let plan, decisions =
                       match
                         Opt.optimize ~vals:(db_vals db) ~engine mode
                           (Bagdb.type_env db) e
                       with
-                      | p, rep ->
-                          ( p,
-                            String.concat " "
-                              (List.map
-                                 (fun d ->
-                                   d.Opt.d_rule
-                                   ^ if d.Opt.d_accepted then "+" else "-")
-                                 rep.Opt.r_decisions) )
-                      | exception _ -> (e, "planning-failed")
+                      | p, rep -> (p, Some rep.Opt.r_decisions)
+                      | exception _ -> (e, None)
                     in
-                    let labels = ref (Veval.engine_to_string engine) in
-                    let env = Bagdb.value_env db in
+                    let report =
+                      if Option.is_some sv.slow_oc then
+                        Some (fun p -> r.vplan <- Some p)
+                      else None
+                    in
                     let outcome =
                       match
-                        match engine with
-                        | Veval.Tree ->
-                            Veval.run_engine Veval.Tree ~budget env plan
-                        | Veval.Vec ->
-                            Veval.run ~budget
-                              ~report:(fun p ->
-                                labels := one_line (Veval.plan_to_string p))
-                              env plan
+                        Veval.run_engine engine ~budget ?report
+                          (Bagdb.value_env db) plan
                       with
                       | Ok v -> `Ok (v, ty)
                       | Error x -> `Verdict x
-                      | exception Eval.Eval_error msg ->
-                          `Fail ("eval: " ^ msg)
+                      | exception Eval.Eval_error msg -> `Fail ("eval: " ^ msg)
                     in
-                    details := (Expr.to_string plan, dec_s, !labels);
-                    (label :=
-                       match outcome with
-                       | `Ok _ -> "ok"
-                       | `Verdict x ->
-                           Budget.resource_to_string x.Budget.resource
-                       | `Fail _ -> "error");
+                    r.plan <- Some (plan, decisions);
+                    r.outcome <- outcome_of_exec outcome;
                     outcome)
               in
+              let weight = r.sess.s_limits.Budget.fuel in
               match Exec.submit sv.exec ~weight ~budget ~run with
               | Error msg ->
-                  slow ~outcome:"busy" ~cache:"miss" ~plan:"" ~decisions:""
-                    ~engines:"" ~queue_us:0 ~fuel:0;
+                  r.outcome <- `Busy;
                   "err busy: " ^ msg
               | Ok (outcome, st) -> (
                   (* retro-dated queue-wait span: this thread emitted
@@ -384,55 +433,46 @@ let handle_eval sv sess ~req q =
                      enq <= arm <= now, so per-lane monotonicity holds
                      (the ring clamp only ever raises both ends
                      together) *)
-                  if Obs.on () then Obs.emit Obs.B ~tid:lane ~ts_us:st.Exec.s_enq_us ~cat:"queue" ~name:"wait" ~args:[ ("req", Obs.Int req) ];
-                  if Obs.on () then Obs.emit Obs.E ~tid:lane ~ts_us:st.Exec.s_arm_us ~cat:"queue" ~name:"wait" ~args:[ ("req", Obs.Int req); ("wait_us", Obs.Int st.Exec.s_queue_us) ];
-                  let plan_s, dec_s, eng_s = !details in
-                  let queue_us = st.Exec.s_queue_us in
-                  let fuel = Budget.fuel_spent budget in
+                  let lane = Obs.lane_session r.sess.s_id in
+                  if Obs.on () then Obs.emit Obs.B ~tid:lane ~ts_us:st.Exec.s_enq_us ~cat:"queue" ~name:"wait" ~args:[ ("req", Obs.Int r.id) ];
+                  if Obs.on () then Obs.emit Obs.E ~tid:lane ~ts_us:st.Exec.s_arm_us ~cat:"queue" ~name:"wait" ~args:[ ("req", Obs.Int r.id); ("wait_us", Obs.Int st.Exec.s_queue_us) ];
+                  r.queue_us <- st.Exec.s_queue_us;
+                  r.fuel <- Budget.fuel_spent budget;
                   match outcome with
                   | `Ok (v, ty) ->
                       Cache.add sv.cache ~key:ckey ~rels v ty;
-                      slow ~outcome:"ok" ~cache:"miss" ~plan:plan_s
-                        ~decisions:dec_s ~engines:eng_s ~queue_us ~fuel;
                       Printf.sprintf "ok %s : %s" (Value.to_string v)
                         (Ty.to_string ty)
-                  | `Verdict x ->
-                      slow
-                        ~outcome:(Budget.resource_to_string x.Budget.resource)
-                        ~cache:"miss" ~plan:plan_s ~decisions:dec_s
-                        ~engines:eng_s ~queue_us ~fuel;
-                      "verdict " ^ Budget.exhaustion_to_string x
-                  | `Fail msg ->
-                      slow ~outcome:"error" ~cache:"miss" ~plan:plan_s
-                        ~decisions:dec_s ~engines:eng_s ~queue_us ~fuel;
-                      "err " ^ msg))))
+                  | `Verdict x -> "verdict " ^ Budget.exhaustion_to_string x
+                  | `Fail msg -> "err " ^ msg))))
 
 (* --- writes ---------------------------------------------------------------- *)
 
 (* A write's WAL append + publish, wrapped in a wal-category span on the
    session's lane so the flush shows up inside the request span. *)
-let apply_traced sv sess ~req ~rel op =
-  let lane = Obs.lane_session sess.s_id in
-  if Obs.on () then Obs.emit Obs.B ~tid:lane ~cat:"wal" ~name:"commit" ~args:[ ("req", Obs.Int req); ("rel", Obs.Str rel) ];
-  let r = Store.apply sv.store op in
-  if Obs.on () then Obs.emit Obs.E ~tid:lane ~cat:"wal" ~name:"commit" ~args:[ ("req", Obs.Int req); ("outcome", Obs.Str (match r with Ok () -> "ok" | Error _ -> "error")) ];
-  r
+let apply_traced sv r ~rel op =
+  let lane = Obs.lane_session r.sess.s_id in
+  if Obs.on () then Obs.emit Obs.B ~tid:lane ~cat:"wal" ~name:"commit" ~args:[ ("req", Obs.Int r.id); ("rel", Obs.Str rel) ];
+  let res = Store.apply sv.store op in
+  if Obs.on () then Obs.emit Obs.E ~tid:lane ~cat:"wal" ~name:"commit" ~args:[ ("req", Obs.Int r.id); ("outcome", Obs.Str (match res with Ok () -> "ok" | Error _ -> "error")) ];
+  res
 
-let handle_def sv sess ~req rest =
+let handle_def sv r rest =
   match Bagdb.parse rest with
-  | exception Bagdb.Db_error e -> "err db: " ^ Bagdb.error_to_string e
-  | [] -> "err proto: def expects a declaration: def bag NAME : TYPE = VALUE"
-  | _ :: _ :: _ -> "err proto: def takes exactly one declaration"
+  | exception Bagdb.Db_error e -> fail r ("err db: " ^ Bagdb.error_to_string e)
+  | [] ->
+      fail r "err proto: def expects a declaration: def bag NAME : TYPE = VALUE"
+  | _ :: _ :: _ -> fail r "err proto: def takes exactly one declaration"
   | [ (n, ty, v) ] -> (
-      match apply_traced sv sess ~req ~rel:n (Store.Def (n, ty, v)) with
+      match apply_traced sv r ~rel:n (Store.Def (n, ty, v)) with
       | Ok () ->
           Cache.invalidate sv.cache n;
           "ok defined " ^ n
-      | Error msg -> "err wal: " ^ msg)
+      | Error msg -> fail r ("err wal: " ^ msg))
 
-let handle_drop sv sess ~req name =
+let handle_drop sv r name =
   let name = String.trim name in
-  if String.equal name "" then "err proto: drop expects a relation name"
+  if String.equal name "" then fail r "err proto: drop expects a relation name"
   else if
     (* a validation failure is a db error, not a WAL one; Store.apply
        re-validates under its own lock, so a racing drop still fails
@@ -441,17 +481,18 @@ let handle_drop sv sess ~req name =
       (List.exists
          (fun (m, _, _) -> String.equal m name)
          (Store.snapshot sv.store))
-  then "err db: no such relation " ^ name
+  then fail r ("err db: no such relation " ^ name)
   else
-    match apply_traced sv sess ~req ~rel:name (Store.Drop name) with
+    match apply_traced sv r ~rel:name (Store.Drop name) with
     | Ok () ->
         Cache.invalidate sv.cache name;
         "ok dropped " ^ name
-    | Error msg -> "err wal: " ^ msg
+    | Error msg -> fail r ("err wal: " ^ msg)
 
 (* --- session limits -------------------------------------------------------- *)
 
-let handle_set sess args =
+let handle_set r args =
+  let sess = r.sess in
   let toks =
     List.filter (fun s -> not (String.equal s "")) (String.split_on_char ' ' args)
   in
@@ -500,101 +541,87 @@ let handle_set sess args =
                 | Some m ->
                     sess.s_mode <- m;
                     Ok ()
-                | None -> Error "err proto: optimize expects off, rules or cost")
+                | None -> Error "err proto: optimize expects off or cost")
             | _ -> Error ("err proto: unknown setting " ^ k)))
   in
   match List.fold_left set_one (Ok ()) toks with
-  | Ok () when toks = [] -> "err proto: set expects key=value pairs"
+  | Ok () when toks = [] -> fail r "err proto: set expects key=value pairs"
   | Ok () -> "ok"
-  | Error msg -> msg
+  | Error msg -> fail r msg
 
 (* --- request dispatch ------------------------------------------------------ *)
 
-(* [None] means: close the session.  Multi-line responses are terminated
-   by a lone "." line (their payload lines never start with a dot). *)
-let dispatch sv sess ~req line =
-  if String.equal (String.trim line) "" then Some ""
-  else if String.equal line "quit" then None
-  else if String.equal line "ping" then Some "ok pong"
-  else if String.equal line "list" then
-    Some
-      ("ok "
-      ^ String.concat " "
-          (List.map (fun (n, _, _) -> n) (Store.snapshot sv.store)))
-  else if String.equal line "metrics" then
-    Some (Metrics.to_prometheus Metrics.default ^ ".")
-  else if String.equal line "trace" then
-    (* a live snapshot of the rings: reading while workers still emit is
-       safe but can see a torn tail — the authoritative artifact is the
-       file balgd writes at shutdown (--trace-out) *)
-    Some
-      (if Obs.on () then Obs.Trace.to_chrome_json () ^ "."
-       else
-         "err unavailable: tracing disabled (start balgd with --trace-out)")
-  else if String.equal line "dump" then
-    let body = Bagdb.render (Store.snapshot sv.store) in
-    Some (if String.equal body "" then "." else body ^ "\n.")
-  else if String.equal line "role" then Some (role_line sv)
-  else if String.equal line "promote" then
-    Some
-      (match promote sv with
-      | `Promoted -> "ok promoted"
-      | `Already_primary -> "ok already primary")
-  else if String.equal line "compact" then
-    Some
-      (match follower_guard sv with
-      | Some err -> err
-      | None -> (
-          match Store.compact sv.store with
-          | Ok () -> "ok compacted"
-          | Error msg -> "err wal: " ^ one_line msg))
-  else if starts_with "eval " line then
-    Some (one_line (handle_eval sv sess ~req (after "eval " line)))
-  else if starts_with "def " line then
-    Some
-      (match follower_guard sv with
-      | Some err -> err
-      | None -> one_line (handle_def sv sess ~req (after "def " line)))
-  else if starts_with "drop " line then
-    Some
-      (match follower_guard sv with
-      | Some err -> err
-      | None -> one_line (handle_drop sv sess ~req (after "drop " line)))
-  else if starts_with "set " line then
-    Some (one_line (handle_set sess (after "set " line)))
-  else Some ("err proto: unknown command " ^ one_line line)
+(* Multi-line responses are terminated by a lone "." line (their payload
+   lines never start with a dot).  [`Sync] hands the connection over to
+   a replication feed. *)
+let dispatch sv r line =
+  let reply s = `Reply s in
+  match line with
+  | "quit" ->
+      r.outcome <- `Bye;
+      `Bye
+  | "ping" -> reply "ok pong"
+  | "list" ->
+      reply
+        ("ok "
+        ^ String.concat " "
+            (List.map (fun (n, _, _) -> n) (Store.snapshot sv.store)))
+  | "metrics" -> reply (Metrics.to_prometheus Metrics.default ^ ".")
+  | "trace" ->
+      (* a live snapshot of the rings: reading while workers still emit is
+         safe but can see a torn tail — the authoritative artifact is the
+         file balgd writes at shutdown (--trace-out) *)
+      if Obs.on () then reply (Obs.Trace.to_chrome_json () ^ ".")
+      else reply (fail r "err unavailable: tracing disabled (start balgd with --trace-out)")
+  | "dump" ->
+      let body = Bagdb.render (Store.snapshot sv.store) in
+      reply (if String.equal body "" then "." else body ^ "\n.")
+  | "role" -> reply (role_line sv)
+  | "promote" -> (
+      match promote sv with
+      | `Promoted -> reply "ok promoted"
+      | `Already_primary -> reply "ok already primary")
+  | "compact" ->
+      reply
+        (writable sv r (fun () ->
+             match Store.compact sv.store with
+             | Ok () -> "ok compacted"
+             | Error msg -> fail r ("err wal: " ^ one_line msg)))
+  | _ when String.equal (String.trim line) "" -> reply ""
+  | _ when starts_with "eval " line ->
+      reply (one_line (handle_eval sv r (after "eval " line)))
+  | _ when starts_with "def " line ->
+      reply (writable sv r (fun () -> one_line (handle_def sv r (after "def " line))))
+  | _ when starts_with "drop " line ->
+      reply (writable sv r (fun () -> one_line (handle_drop sv r (after "drop " line))))
+  | _ when starts_with "set " line ->
+      reply (one_line (handle_set r (after "set " line)))
+  | _ when starts_with "sync " line -> (
+      match int_of_string_opt (String.trim (after "sync " line)) with
+      | Some a when a >= 0 -> `Sync a
+      | _ -> reply (fail r "err proto: sync expects a non-negative log offset"))
+  | _ -> reply (fail r ("err proto: unknown command " ^ one_line line))
 
-let cmd_hist cmd =
-  match cmd with
-  | "eval" -> h_cmd_eval_ns
-  | "def" -> h_cmd_def_ns
-  | "drop" -> h_cmd_drop_ns
-  | _ -> h_cmd_other_ns
-
-(* The request wrapper: mint the id, open the session-lane span, run the
-   command, then close the span, record per-command latency and write
-   the access-log line — on the exception path too, so a dying session
-   never leaves an unbalanced span or an unlogged command. *)
+(* Mint the record, open the session-lane span, run the command and
+   [finish] the record on every exit path, so a dying session never
+   leaves an unbalanced span or an unlogged command.  A [sync] takeover
+   is finished before its feed starts, since the feed never completes. *)
 let respond sv sess line =
   Metrics.incr m_requests;
   let line = strip_cr line in
-  let req = Atomic.fetch_and_add sv.next_req 1 in
-  let cmd = cmd_word line in
-  let lane = Obs.lane_session sess.s_id in
-  let t0 = Unix.gettimeofday () in
-  if Obs.on () then Obs.emit Obs.B ~tid:lane ~cat:"session" ~name:"request" ~args:[ ("req", Obs.Int req); ("session", Obs.Int sess.s_id); ("cmd", Obs.Str cmd) ];
-  let finish outcome =
-    let dur_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-    if Obs.on () then Obs.emit Obs.E ~tid:lane ~cat:"session" ~name:"request" ~args:[ ("req", Obs.Int req); ("outcome", Obs.Str outcome); ("dur_us", Obs.Int dur_us) ];
-    Metrics.observe (cmd_hist cmd) (dur_us * 1000);
-    access_line sv ~sid:sess.s_id ~req ~cmd ~dur_us ~outcome
+  let r =
+    { id = Atomic.fetch_and_add sv.next_req 1; sess; cmd = cmd_word line;
+      t0 = Unix.gettimeofday (); outcome = `Ok; query = None; cache = `Miss;
+      plan = None; vplan = None; queue_us = 0; fuel = 0 }
   in
-  match dispatch sv sess ~req line with
+  if Obs.on () then Obs.emit Obs.B ~tid:(Obs.lane_session r.sess.s_id) ~cat:"session" ~name:"request" ~args:[ ("req", Obs.Int r.id); ("session", Obs.Int r.sess.s_id); ("cmd", Obs.Str r.cmd) ];
+  match dispatch sv r line with
   | reply ->
-      finish (outcome_of_reply reply);
+      finish sv r;
       reply
   | exception exn ->
-      finish "exception";
+      r.outcome <- `Exception;
+      finish sv r;
       raise exn
 
 (* --- HTTP ------------------------------------------------------------------ *)
@@ -659,33 +686,16 @@ let session_loop sv sess ic oc first_line =
     (* the [server.session] chaos site: this session dies here — its
        socket closes, the rest of the server keeps serving *)
     if Fault.fire session_site then Metrics.incr m_session_faults
-    else if starts_with "sync " (strip_cr line) then begin
-      (* [sync] takes over the connection: the session becomes a
-         replication feed and never returns to request/response *)
-      Metrics.incr m_requests;
-      match int_of_string_opt (String.trim (after "sync " (strip_cr line))) with
-      | Some a when a >= 0 ->
-          (* the session becomes a long-lived feed: log the takeover now,
-             since this command never "completes" in the access-log
-             sense (no span either — it would stay open for the feed's
-             whole life) *)
-          access_line sv ~sid:sess.s_id
-            ~req:(Atomic.fetch_and_add sv.next_req 1)
-            ~cmd:"sync" ~dur_us:0 ~outcome:"ok";
-          Repl.serve_sync ~store:sv.store ~params:sv.cfg.repl_params
-            ~stopping:(fun () -> sv.stopping)
-            ~after:a oc
-      | _ ->
-          output_string oc "err proto: sync expects a non-negative log offset\n";
-          flush oc;
-          loop (input_line ic)
-    end
     else
       match respond sv sess line with
-      | None ->
+      | `Bye ->
           output_string oc "ok bye\n";
           flush oc
-      | Some reply ->
+      | `Sync after ->
+          Repl.serve_sync ~store:sv.store ~params:sv.cfg.repl_params
+            ~stopping:(fun () -> sv.stopping)
+            ~after oc
+      | `Reply reply ->
           output_string oc reply;
           output_string oc "\n";
           flush oc;

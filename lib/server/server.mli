@@ -68,12 +68,13 @@
     ({!Balg.Obs.lane_session}), a retro-dated [queue]/wait sub-span from
     the {!Exec} queue accounting, [worker]/request on the worker
     domain's lane, and [wal]/commit around a write's append+publish —
-    one Perfetto trace shows the whole request lifecycle.  The JSONL
-    access log ([config.access_log]) records one line per command; the
-    slow-query log ([config.slow_log], gated by [config.slow_ms])
-    records query text, chosen plan, optimizer decisions, engine
-    labels, cache outcome, queue wait, fuel spent and verdict for every
-    eval at or above the threshold. *)
+    one Perfetto trace shows the whole request lifecycle.  Each command
+    fills one request record (outcome, and for an eval its cache outcome,
+    plan, optimizer decisions, queue wait and fuel) that a single close
+    turns into the span's end, the per-command histogram sample, the
+    JSONL access line ([config.access_log]) and, for an eval at or over
+    [config.slow_ms], the slow-query line ([config.slow_log]); both lines
+    time the same interval, reply rendering included. *)
 
 open Balg
 

@@ -8,7 +8,16 @@
 # wal, eval).  A second, chaos leg replicates under an armed repl.ship
 # fault site and asserts the injected cuts surface as fault instants in
 # the primary's trace while the trace invariants still hold.
+#
+# Usage: sh scripts/trace_smoke.sh [ARTIFACT_DIR]
+# With ARTIFACT_DIR, leg 1's trace.json, access.jsonl and slow.jsonl are
+# copied there (created if missing) as soon as the server has stopped.
 set -eu
+art=${1:-}
+case "$art" in
+"" | /*) ;;
+*) art="$PWD/$art" ;;
+esac
 cd "$(dirname "$0")/.."
 
 dune build bin/balgd.exe bin/balgi.exe
@@ -125,6 +134,10 @@ echo "trace-smoke: metrics ok"
 
 stop_balgd "$pid"
 pid=
+if [ -n "$art" ]; then
+  mkdir -p "$art"
+  cp "$tmp/trace.json" "$tmp/access.jsonl" "$tmp/slow.jsonl" "$art/"
+fi
 [ -s "$tmp/trace.json" ] || fail "no trace written at shutdown"
 sh "$CHECK" "$tmp/trace.json" session queue worker wal eval \
   || fail "trace invariants do not hold"

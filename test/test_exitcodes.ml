@@ -57,10 +57,8 @@ let classify err =
 let combos =
   [
     ("tree", "off");
-    ("tree", "rules");
     ("tree", "cost");
     ("vec", "off");
-    ("vec", "rules");
     ("vec", "cost");
   ]
 

@@ -137,12 +137,30 @@ let test_cost_extracts_join () =
   in
   Alcotest.(check bool) "join extracted" true (has_join e');
   Alcotest.(check bool) "cost strictly decreased" true
-    (rep.Opt.r_output_cost < rep.Opt.r_input_cost);
+    (Opt.cost Veval.Tree tenv rep.Opt.r_output
+    < Opt.cost Veval.Tree tenv rep.Opt.r_input);
   Alcotest.(check bool) "decision log non-empty" true
     (rep.Opt.r_decisions <> []);
   let rng = Random.State.make [| 43 |] in
   Alcotest.(check bool) "join plan is bag-equivalent" true
     (equivalent_bag rng selfjoin_q e')
+
+(* The explain rendering: its input/output cost lines are computed at
+   render time, so they must agree with the cost model evaluated on the
+   report's own plans, and the applied join extraction must be listed. *)
+let test_report_rendering () =
+  let _, rep = Opt.optimize ~engine:Veval.Tree Opt.Cost tenv selfjoin_q in
+  let lines = String.split_on_char '\n' (Opt.report_to_string tenv rep) in
+  let listed prefix = List.exists (String.starts_with ~prefix) lines in
+  let cost_line label e =
+    Printf.sprintf "  %s cost=%.0f  props=" label (Opt.cost Veval.Tree tenv e)
+  in
+  Alcotest.(check bool) "input cost" true
+    (listed (cost_line "input " rep.Opt.r_input));
+  Alcotest.(check bool) "output cost" true
+    (listed (cost_line "output" rep.Opt.r_output));
+  Alcotest.(check bool) "applied join-extract listed" true
+    (listed "  applied  join-extract")
 
 let test_off_is_identity () =
   let e', rep = Opt.optimize Opt.Off tenv selfjoin_q in
@@ -195,8 +213,8 @@ let test_calibration_changes_plan_not_results () =
 
 let test_mode_parsing () =
   Alcotest.(check bool) "cost parses" true (Opt.mode_of_string "cost" = Some Opt.Cost);
-  Alcotest.(check bool) "rules parses" true (Opt.mode_of_string "Rules" = Some Opt.Rules);
   Alcotest.(check bool) "off parses" true (Opt.mode_of_string " off " = Some Opt.Off);
+  Alcotest.(check bool) "rules rejected" true (Opt.mode_of_string "rules" = None);
   Alcotest.(check bool) "junk rejected" true (Opt.mode_of_string "fast" = None)
 
 (* --- differential: optimized plans are bit-identical -------------------- *)
@@ -338,6 +356,7 @@ let () =
         [
           Alcotest.test_case "cost mode extracts joins" `Quick
             test_cost_extracts_join;
+          Alcotest.test_case "rendered report" `Quick test_report_rendering;
           Alcotest.test_case "off mode is the identity" `Quick
             test_off_is_identity;
           Alcotest.test_case "inverted objective ships unoptimized" `Quick

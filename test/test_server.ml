@@ -1256,6 +1256,82 @@ let test_server_traced_requests () =
       if d <> 0 then Alcotest.failf "lane %d:%d ends at depth %d" pid tid d)
     depth
 
+(* The raw value of [key] in one flat JSONL log object: a number, or a
+   string without its quotes (the values checked here carry no
+   escapes). *)
+let json_field line key =
+  let tag = "\"" ^ key ^ "\":" in
+  let n = String.length line and m = String.length tag in
+  let rec find i =
+    if i + m > n then Alcotest.failf "no %s in %s" key line
+    else if String.sub line i m = tag then i + m
+    else find (i + 1)
+  in
+  let j = find 0 in
+  if line.[j] = '"' then
+    String.sub line (j + 1) (String.index_from line (j + 1) '"' - j - 1)
+  else
+    let rec stop k = if line.[k] = ',' || line.[k] = '}' then k else stop (k + 1) in
+    String.sub line j (stop j - j)
+
+(* The access and slow logs read one request record: one access line per
+   command, one slow line per eval that reaches the cache probe, and the
+   same interval in both — so a large cached reply's rendering time
+   shows in the slow log too. *)
+let test_server_request_logs () =
+  let dir = temp_dir () in
+  let access = Filename.concat dir "access.jsonl"
+  and slow = Filename.concat dir "slow.jsonl" in
+  let big =
+    String.concat ", " (List.init 4000 (Printf.sprintf "<'atom_%05d>"))
+  in
+  let lines path =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_file path))
+  in
+  with_server
+    ~tweak:(fun c ->
+      { c with Server.access_log = Some access; slow_log = Some slow; slow_ms = 0. })
+    (fun sv ->
+      let c = connect sv in
+      Alcotest.(check string) "def" "ok defined B"
+        (req c ("def bag B : {{<U>}} = {{ " ^ big ^ " }}"));
+      let miss = req c "eval B ++ B" in
+      let hit = req c "eval B ++ B" in
+      Alcotest.(check string) "hit replays the miss" miss hit;
+      Alcotest.(check bool) "cached reply is at least 50 KB" true
+        (String.length hit >= 50_000);
+      Alcotest.(check string) "set" "ok" (req c "set fuel=5");
+      Alcotest.(check bool) "fuel verdict" true
+        (starts_with "verdict " (req c "eval powerset(G * G)"));
+      Alcotest.(check bool) "parse error" true
+        (starts_with "err parse" (req c "eval R ++"));
+      Client.close c;
+      wait_until ~what:"the quit access line" (fun () ->
+          List.length (lines access) = 7));
+  let access_lines = lines access and slow_lines = lines slow in
+  let fields lines key = List.map (fun l -> json_field l key) lines in
+  Alcotest.(check (list string)) "one access line per command"
+    [ "def"; "eval"; "eval"; "set"; "eval"; "eval"; "quit" ]
+    (fields access_lines "cmd");
+  Alcotest.(check (list string)) "access outcomes"
+    [ "ok"; "ok"; "ok"; "ok"; "verdict"; "error"; "bye" ]
+    (fields access_lines "outcome");
+  let probed = List.filteri (fun i _ -> List.mem i [ 1; 2; 4 ]) access_lines in
+  Alcotest.(check (list string)) "one slow line per probed eval, by req"
+    (fields probed "req") (fields slow_lines "req");
+  Alcotest.(check (list string)) "slow cache outcomes" [ "miss"; "hit"; "miss" ]
+    (fields slow_lines "cache");
+  Alcotest.(check (list string)) "slow outcomes" [ "ok"; "ok"; "fuel" ]
+    (fields slow_lines "outcome");
+  List.iter2
+    (fun a s ->
+      let dur_us = float_of_string (json_field a "dur_us")
+      and dur_ms = float_of_string (json_field s "dur_ms") in
+      if Float.abs ((1000. *. dur_ms) -. dur_us) > 1. then
+        Alcotest.failf "req %s: slow dur_ms %.3f vs access dur_us %.0f"
+          (json_field a "req") dur_ms dur_us)
+    probed slow_lines
+
 let () =
   Alcotest.run "server"
     [
@@ -1313,6 +1389,8 @@ let () =
             test_server_readonly_healthz;
           Alcotest.test_case "traced requests" `Quick
             test_server_traced_requests;
+          Alcotest.test_case "access and slow logs" `Quick
+            test_server_request_logs;
           Alcotest.test_case "concurrent differential" `Quick
             test_server_concurrent_differential;
         ] );
