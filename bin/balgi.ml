@@ -10,7 +10,7 @@
    --max-size / --max-count-digits / --max-fix-steps / --timeout set the
    limits, and exhaustion is reported as a located, structured verdict
    (exit code 2).  Ctrl-C cancels through the same channel: the SIGINT
-   handler flips Budget.cancel, every domain unwinds at its next fuel
+   handler flips Budget.cancel, the evaluation unwinds at its next fuel
    charge, and the run reports a Cancelled verdict with the pool joined
    and partial telemetry printed.  --retry-degrade re-runs the normalized
    plan under a fresh budget (same limits) after a first exhaustion.
@@ -76,7 +76,7 @@ type opts = {
   trace : bool;
   stats_sort : Telemetry.sort;  (** --stats-sort column *)
   stats_top : int;  (** rows of the per-operator table *)
-  jobs : int;  (** evaluation domains; 1 = sequential *)
+  jobs : int;  (** kernel pool domains; 1 = no pool *)
   fault : string option;  (** --fault spec, overrides BALG_FAULT *)
   fault_seed : int option;
   trace_out : string option;  (** Chrome trace-event JSON output file *)
@@ -121,10 +121,9 @@ let apply_faults opts =
       | Ok () -> Ok ()
       | Error e -> Error ("bad --fault spec: " ^ e))
 
-(* Cancel the budget on Ctrl-C for the duration of [f]: every domain of
-   the evaluation observes the flag at its next fuel charge and unwinds
-   into a structured Cancelled verdict — no dead domain, no leaked
-   worker.  The previous handler is restored afterwards, so the REPL's
+(* Cancel the budget on Ctrl-C for the duration of [f]: the evaluation
+   observes the flag at its next fuel charge and unwinds into a
+   structured Cancelled verdict — no dead domain, no leaked worker.  The previous handler is restored afterwards, so the REPL's
    prompt keeps its default interrupt behaviour between queries. *)
 let with_sigint budget f =
   match
@@ -694,9 +693,11 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Evaluate on $(docv) domains.  Large kernels chunk their support \
-           across the pool and independent operands of binary operators run \
-           in parallel; results are identical to sequential evaluation.")
+          "Give the data kernels (products, joins, positional projections \
+           and equality selections) a pool of $(docv) domains to chunk \
+           large inputs across.  Everything else runs on the calling \
+           domain, so results, fuel and $(b,--stats) are identical to \
+           sequential evaluation.")
 
 let fault_arg =
   Arg.(

@@ -79,9 +79,9 @@ type t = {
   fuel_spent : int Atomic.t;
   ticks : int Atomic.t;  (** charge counter, paces the deadline probes *)
   tripped : exhaustion option Atomic.t;
-      (** first verdict, kept at the minimum preorder node id so parallel
-          evaluation reports deterministically no matter which domain
-          exhausts first *)
+      (** first verdict, kept at the minimum preorder node id so a
+          cancel from another thread (node 0) outranks a verdict that
+          races in after it *)
 }
 
 (* Probe the wall clock only every [deadline_stride] charges: a
@@ -125,9 +125,9 @@ let limits t = t.limits
 let fuel_spent t = Atomic.get t.fuel_spent
 let verdict t = Atomic.get t.tripped
 
-(* Publish the verdict before raising, keeping the smallest node id across
-   domains: every domain that exhausts CASes its candidate in unless a
-   strictly earlier (preorder) node already won. *)
+(* Publish the verdict before raising, keeping the smallest node id: the
+   candidate is CASed in unless a strictly earlier (preorder) node — or a
+   cancel, at node 0 — already won. *)
 let exceeded t resource ~node ~op ~spent ~limit =
   let x = { resource; at_node = node; op; spent; limit } in
   let rec publish () =
@@ -151,9 +151,9 @@ let check_deadline t ~node ~op =
     exceeded t Deadline ~node ~op ~spent:(elapsed_ms t) ~limit:(deadline_ms t)
 
 (* Cooperative cancellation: publish a [Cancelled] verdict into the shared
-   [tripped] slot.  Every domain of a parallel evaluation already consults
-   that slot on its next fuel charge, so the flag propagates to all workers
-   at fuel-charge granularity with no cost added to the hot path.  At node
+   [tripped] slot.  The evaluation already consults that slot on its next
+   fuel charge, so the flag propagates at fuel-charge granularity with no
+   cost added to the hot path.  At node
    id 0 the verdict outranks any real exhaustion that races in later (the
    smallest-node-id rule), while a verdict published {e before} the cancel
    stands — evaluation was already unwinding.

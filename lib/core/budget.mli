@@ -63,9 +63,10 @@ val exhaustion_to_string : exhaustion -> string
 
 type t
 (** A running account.  One [t] governs one evaluation.  The accounts are
-    {!Atomic.t} counters: domains of a parallel evaluation charge the same
-    shared account, and the fuel limit cuts the whole computation off at
-    the same total spend as a sequential run. *)
+    {!Atomic.t} counters so that {!cancel} can reach a running evaluation
+    from another thread or domain.  Only the evaluation's calling domain
+    charges them (pooled kernels charge nothing), so a pooled run cuts
+    off at exactly the sequential run's spend. *)
 
 val create : limits -> t
 (** Open the account with the deadline clock {e unarmed}: fuel, support
@@ -91,15 +92,15 @@ val limits : t -> limits
 val fuel_spent : t -> int
 
 val verdict : t -> exhaustion option
-(** The published exhaustion verdict, if any domain has tripped the
-    account.  Under parallel evaluation several domains can exhaust
-    concurrently; the stored verdict is kept at the {e smallest} preorder
-    node id, so the reported location is deterministic. *)
+(** The published exhaustion verdict, if the account has tripped.  A
+    {!cancel} from another thread can race the evaluation's own verdict;
+    the stored verdict is kept at the {e smallest} preorder node id, so
+    a cancel (node 0) outranks a verdict published after it. *)
 
 val cancel : t -> unit
 (** Cooperatively cancel the evaluation this account governs: publishes a
-    {!Cancelled} verdict (unless a verdict already exists) that every
-    domain observes at its next fuel charge and unwinds from — the hook a
+    {!Cancelled} verdict (unless a verdict already exists) that the
+    evaluation observes at its next fuel charge and unwinds from — the hook a
     SIGINT handler or a disconnecting client calls.  Safe from a signal
     handler or another domain; idempotent. *)
 
@@ -113,8 +114,8 @@ val exceeded : t -> resource -> node:int -> op:string -> spent:int -> limit:int 
 val charge : t -> node:int -> op:string -> int -> unit
 (** Spend [n] fuel units attributed to the given node.  Saturating; checks
     the wall-clock deadline every few dozen charges, and consults the
-    published verdict — so a {!cancel} (or another domain's exhaustion)
-    unwinds this domain at its next charge.
+    published verdict — so a {!cancel} unwinds the evaluation at its
+    next charge.
     @raise Budget_exceeded on fuel exhaustion, a passed deadline, or an
     already-published verdict. *)
 

@@ -47,29 +47,27 @@ type env = Value.t Env.t
 let env_of_list l = List.fold_left (fun m (x, v) -> Env.add x v m) Env.empty l
 
 (* ------------------------------------------------------------------ *)
-(* Compilation to closures: budget governance, telemetry spans,
-   memoisation of stable operator nodes, and parallel execution. *)
+(* Compilation to closures: budget governance, telemetry spans and
+   memoisation of stable operator nodes.  Every closure runs on the
+   calling domain; only the data kernels it calls use the pool. *)
 
 type state = {
-  budget : Budget.t;  (** shared across domains; accounts are atomic *)
+  budget : Budget.t;  (** atomic, so another thread can cancel the run *)
   run_id : int;  (** keys the per-domain memo tables *)
   telemetry : Telemetry.t option;  (** the sink, when one is attached *)
-  shard : Telemetry.shard option;
-      (** [Some] inside a parallel task: records land in the task's own
-          shard and merge into the parent at the join *)
-  pool : Pool.t option;
+  pool : Pool.t option;  (** handed to the data kernels only *)
   mutable obs_cell : int ref;
       (** fuel charged to the {e currently executing} node, for the trace
           exporter: each traced node invocation installs a fresh cell and
           its end event reports the cell's total, so summing the [steps]
           arg over all end events reproduces the spent fuel exactly (the
           trace-side mirror of the telemetry steps == fuel invariant).
-          The cell is dynamically scoped — states are domain-private, so
-          a plain ref suffices. *)
+          The cell is dynamically scoped — a state never leaves the
+          calling domain, so a plain ref suffices. *)
   mutable peak_support : int;
-      (** the governor's own peaks, merged at parallel joins:
-          [peak_support] feeds the per-run metric, [peak_count] gates the
-          count-digit check to new peaks ([Bignat.digits] prints) *)
+      (** the governor's own peaks: [peak_support] feeds the per-run
+          metric, [peak_count] gates the count-digit check to new peaks
+          ([Bignat.digits] prints) *)
   mutable peak_count : Bignat.t;
 }
 
@@ -83,13 +81,6 @@ let attribute telemetry ~parent ~id ~op =
   in
   { id; op; sp }
 
-(* The span to record into for this state: the registered tree span on the
-   main domain, the task's shard span inside a parallel task. *)
-let span_of st att sp_main =
-  match st.shard with
-  | None -> sp_main
-  | Some sh -> Telemetry.shard_span sh ~id:att.id ~op:att.op
-
 (* Injection site (see fault.mli): a fault at the evaluator's fuel-charge
    boundary — the finest-grained place evaluation can die — published as a
    located [Injected] verdict at the charging node.  The check precedes
@@ -98,16 +89,15 @@ let span_of st att sp_main =
 let step_site = Fault.register "eval.step"
 
 (* Every unit of fuel charged to the governor is mirrored into the node's
-   span (or its shard counterpart), so the span tree's total step count
-   always equals the spent fuel after shards merge (the --stats invariant,
-   tested in test_budget.ml and test_parallel.ml). *)
+   span, so the span tree's total step count always equals the spent fuel
+   (the --stats invariant, tested in test_budget.ml and test_parallel.ml). *)
 let spend st att n =
   if Fault.fire step_site then
     Budget.exceeded st.budget Budget.Injected ~node:att.id
       ~op:(Fault.name step_site)
       ~spent:(Budget.fuel_spent st.budget) ~limit:0;
   (match att.sp with
-  | Some sp -> Telemetry.add_steps (span_of st att sp) n
+  | Some sp -> Telemetry.add_steps sp n
   | None -> ());
   (* Mirror into the trace accumulator before [charge] can raise, for the
      same reason the telemetry mirror precedes it: the charge that trips
@@ -140,7 +130,7 @@ let observe st att v =
       Budget.check_size st.budget ~node:att.id ~op:att.op size;
       (match att.sp with
       | Some sp ->
-          Telemetry.record_result (span_of st att sp) ~support ~size ~count:mc
+          Telemetry.record_result sp ~support ~size ~count:mc
             ~cardinal:(Value.cardinal v)
       | None -> ());
       spend st att support
@@ -149,7 +139,7 @@ let observe st att v =
       Budget.check_size st.budget ~node:att.id ~op:att.op size;
       match att.sp with
       | Some sp ->
-          Telemetry.record_result (span_of st att sp) ~support:0 ~size
+          Telemetry.record_result sp ~support:0 ~size
             ~count:Bignat.zero ~cardinal:Bignat.zero
       | None -> ()));
   v
@@ -179,8 +169,7 @@ let invoke_instrumented ~observe st att raw env =
     spend st att 1;
     match att.sp with
     | None -> observe st att (raw st env)
-    | Some sp_main -> (
-        let sp = span_of st att sp_main in
+    | Some sp -> (
         sp.Telemetry.invocations <- sp.Telemetry.invocations + 1;
         let t0 = Unix.gettimeofday () in
         let a0 = Gc.allocated_bytes () in
@@ -210,11 +199,12 @@ let invoke_instrumented ~observe st att raw env =
    loses cached work but never correctness. *)
 let memo_capacity = 1 lsl 16
 
-(* Per-domain memo tables, keyed off domain-local storage: every domain —
-   main or worker — reads and writes only its own table, so the lookup
-   path needs no locks at all.  Tables are recycled across runs by tagging
-   them with the run id: node ids restart at 1 for every compilation, so a
-   stale entry from a previous run must never be visible. *)
+(* Per-domain memo tables, keyed off domain-local storage: a run reads and
+   writes only its calling domain's table, so concurrent runs on Exec
+   worker domains need no locks at all.  Tables are recycled across runs
+   by tagging them with the run id: node ids restart at 1 for every
+   compilation, so a stale entry from a previous run must never be
+   visible. *)
 type memo_tbl = (int * int, (Value.t option list * Value.t) list ref) Hashtbl.t
 
 let memo_slot : (int ref * memo_tbl) Domain.DLS.key =
@@ -247,93 +237,6 @@ let fingerprint vals =
 type compiled = state -> env -> Value.t
 
 type reg = { ctr : int ref; telemetry : Telemetry.t option }
-
-(* ------------------------------------------------------------------ *)
-(* Parallel regions. *)
-
-let par_pool st =
-  match st.pool with Some p when Pool.jobs p > 1 -> Some p | _ -> None
-
-(* Run [tasks] (closures over a fresh child state each) on the pool and
-   join.  Child peaks and telemetry shards merge into [st] whether the
-   task succeeded or not — fuel spent on a failed branch is still fuel
-   spent, and the steps == fuel invariant must survive exhaustion.
-   Failure combination is deterministic: a non-budget exception from the
-   earliest task wins (sequential evaluation would have raised it), else
-   the budget verdict with the smallest preorder node id. *)
-let par_run (st : state) p (tasks : (state -> 'a) list) : 'a list =
-  let children =
-    List.map
-      (fun task ->
-        let c =
-          {
-            st with
-            obs_cell = ref 0;
-            shard =
-              (match st.telemetry with
-              | None -> None
-              | Some _ -> Some (Telemetry.shard ()));
-          }
-        in
-        (* Bracket the task in its own trace span (it runs on whatever
-           domain picks it up, so the events land in that domain's ring);
-           the end event reports the child's root cell — fuel charged
-           outside any node wrapper, e.g. by memo hits at the task's top
-           node — keeping the exported steps sum equal to the fuel. *)
-        let traced_task () =
-          if not (Obs.on ()) then task c
-          else begin
-            if Obs.on () then Obs.emit Obs.B ~cat:"eval" ~name:"task" ~args:[];
-            match task c with
-            | v ->
-                if Obs.on () then Obs.emit Obs.E ~cat:"eval" ~name:"task" ~args:[ ("steps", Obs.Int !(c.obs_cell)) ];
-                v
-            | exception exn ->
-                if Obs.on () then Obs.emit Obs.E ~cat:"eval" ~name:"task" ~args:[ ("steps", Obs.Int !(c.obs_cell)) ];
-                raise exn
-          end
-        in
-        (c, traced_task))
-      tasks
-  in
-  let results = Pool.run p (List.map snd children) in
-  List.iter
-    (fun (c, _) ->
-      if c.peak_support > st.peak_support then st.peak_support <- c.peak_support;
-      if Bignat.compare c.peak_count st.peak_count > 0 then
-        st.peak_count <- c.peak_count;
-      match c.shard with
-      | None -> ()
-      | Some src -> (
-          match st.shard with
-          | Some dst -> Telemetry.merge_shard_into_shard dst src
-          | None -> (
-              match st.telemetry with
-              | Some t -> Telemetry.merge_shard t src
-              | None -> ())))
-    children;
-  let reraise =
-    List.fold_left
-      (fun acc r ->
-        match (acc, r) with
-        | Some e, _ when not (match e with Budget.Budget_exceeded _ -> true | _ -> false) ->
-            acc (* earliest non-budget exception is final *)
-        | _, Ok _ -> acc
-        | _, Error (Budget.Budget_exceeded x) -> (
-            match acc with
-            | None -> Some (Budget.Budget_exceeded x)
-            | Some (Budget.Budget_exceeded y) ->
-                if x.Budget.at_node < y.Budget.at_node then
-                  Some (Budget.Budget_exceeded x)
-                else acc
-            | Some _ -> acc)
-        | _, Error e -> Some e (* first non-budget error overrides *))
-      None results
-  in
-  match reraise with
-  | Some e -> raise e
-  | None ->
-      List.map (function Ok v -> v | Error _ -> assert false) results
 
 (* An expected output beyond [int] range (reported as a saturated
    [max_int]) is impossible to materialise whatever the limits: a located
@@ -403,8 +306,7 @@ let rec compile reg ~parent volatile e : compiled =
       let hit r =
         spend st att 1;
         (match att.sp with
-        | Some sp_main ->
-            let sp = span_of st att sp_main in
+        | Some sp ->
             sp.Telemetry.invocations <- sp.Telemetry.invocations + 1;
             Telemetry.record_memo_hit sp
         | None -> ());
@@ -412,7 +314,7 @@ let rec compile reg ~parent volatile e : compiled =
       in
       let compute () =
         (match att.sp with
-        | Some sp_main -> Telemetry.record_memo_miss (span_of st att sp_main)
+        | Some sp -> Telemetry.record_memo_miss sp
         | None -> ());
         invoke st env
       in
@@ -439,24 +341,14 @@ and compile_node reg ~att volatile e : compiled =
   let sub e = compile reg ~parent:att.id volatile e in
   let under x e = compile reg ~parent:att.id (Expr.Vars.add x volatile) e in
   let stable x e = compile reg ~parent:att.id (Expr.Vars.remove x volatile) e in
-  (* Binary operators with two substantial operands fork their branches
-     onto the pool: the operands are independent, so each evaluates in its
-     own child state and the kernel combines the joined values.  Operand
-     sizes are known at compile time; the sequential path keeps the
-     historical right-then-left evaluation order. *)
+  (* Binary operators evaluate their operands right then left, the order
+     exhaustion attribution has always followed. *)
   let bin a b kernel =
     let ca = sub a and cb = sub b in
-    let sa = Expr.size a and sb = Expr.size b in
     fun st env ->
-      match par_pool st with
-      | Some p when sa >= Pool.fork_min p && sb >= Pool.fork_min p -> (
-          match par_run st p [ (fun c -> ca c env); (fun c -> cb c env) ] with
-          | [ va; vb ] -> kernel st va vb
-          | _ -> assert false)
-      | _ ->
-          let vb = cb st env in
-          let va = ca st env in
-          kernel st va vb
+      let vb = cb st env in
+      let va = ca st env in
+      kernel st va vb
   in
   match e with
   | Expr.Var x -> (
@@ -520,28 +412,7 @@ and compile_node reg ~att volatile e : compiled =
            Bag.map (fun v -> cbody st (Env.add x v env)) b)
   | Expr.Map (x, body, e) ->
       let cbody = under x body and c = sub e in
-      fun st env -> (
-        let b = c st env in
-        match par_pool st with
-        | Some p when Value.is_bag b && Value.support_size b >= Pool.chunk_min p ->
-            (* Chunk the support: each task maps its slice under a child
-               state (per-element budget charges hit the shared atomic
-               account) and locally coalesces; the per-chunk bags recombine
-               with the additive sorted merge — exactly the coalescing the
-               sequential [bag_of_assoc] performs. *)
-            let chunks = Pool.chunks (4 * Pool.jobs p) (Value.as_bag b) in
-            let parts =
-              par_run st p
-                (List.map
-                   (fun chunk cst ->
-                     Value.bag_of_assoc
-                       (List.map
-                          (fun (v, cnt) -> (cbody cst (Env.add x v env), cnt))
-                          chunk))
-                   chunks)
-            in
-            List.fold_left Bag.union_add Value.empty_bag parts
-        | _ -> Bag.map (fun v -> cbody st (Env.add x v env)) b)
+      fun st env -> Bag.map (fun v -> cbody st (Env.add x v env)) (c st env)
   (* σ_{i=j}: positional-equality selection runs as {!Bag.select_eq}, with
      the same generic fallback on malformed data. *)
   | Expr.Select
@@ -562,26 +433,12 @@ and compile_node reg ~att volatile e : compiled =
              b)
   | Expr.Select (x, l, r, e) ->
       let cl = under x l and cr = under x r and c = sub e in
-      fun st env -> (
-        let b = c st env in
-        let pred cst v =
-          let env' = Env.add x v env in
-          Value.equal (cl cst env') (cr cst env')
-        in
-        match par_pool st with
-        | Some p when Value.is_bag b && Value.support_size b >= Pool.chunk_min p ->
-            (* Filtered contiguous chunks of the sorted support concatenate
-               back into one canonical list. *)
-            let chunks = Pool.chunks (4 * Pool.jobs p) (Value.as_bag b) in
-            let parts =
-              par_run st p
-                (List.map
-                   (fun chunk cst ->
-                     List.filter (fun (v, _) -> pred cst v) chunk)
-                   chunks)
-            in
-            Value.of_sorted_assoc (List.concat parts)
-        | _ -> Bag.select (pred st) b)
+      fun st env ->
+        Bag.select
+          (fun v ->
+            let env' = Env.add x v env in
+            Value.equal (cl st env') (cr st env'))
+          (c st env)
   | Expr.Dedup e ->
       let c = sub e in
       fun st env -> Bag.dedup (c st env)
@@ -675,7 +532,6 @@ let govern m ?budget ?limits ?telemetry ?pool ?engine e f =
       budget;
       run_id = Atomic.fetch_and_add run_ids 1;
       telemetry;
-      shard = None;
       pool;
       obs_cell = ref 0;
       peak_support = 0;
@@ -695,9 +551,9 @@ let govern m ?budget ?limits ?telemetry ?pool ?engine e f =
       finish_run m st t0 [ ("outcome", Obs.Str "ok") ];
       Ok v
   | exception Budget.Budget_exceeded x ->
-      (* Under parallel evaluation the propagated exception is whichever
-         domain's raise won the race; the published verdict is kept at the
-         smallest node id, so report that one. *)
+      (* A concurrent [Budget.cancel] can publish its verdict between this
+         run's check and its raise; the published verdict (kept at the
+         smallest node id) is the one to report. *)
       verdict m st t0
         (match Budget.verdict st.budget with Some y -> y | None -> x)
   | exception Fault.Injected site ->

@@ -41,13 +41,13 @@ val run :
     it.  The only exception [run] raises is {!Eval_error} (a dynamic type
     error or unbound variable: caller bugs, not resource adversity).
 
-    With [?pool], large kernels chunk their support across the pool's
-    domains and substantial independent binary-operator branches fork:
-    results are identical to sequential evaluation (chunks of a canonical
-    bag recombine canonically), the shared budget still cuts off at the
-    same total spend, telemetry shards merge at every join (preserving the
-    steps == fuel invariant), and an exhaustion verdict is reported at the
-    smallest exhausting node id for determinism.
+    With [?pool], the data kernels ({!Bag.product}, {!Bag.proj},
+    {!Bag.select_eq}, {!Bag.join_eq}) chunk large supports across the
+    pool's domains; every compiled closure, and so every fuel charge,
+    memo probe and span update, stays on the calling domain.  A pooled
+    run therefore returns the same value or verdict, spends exactly the
+    same fuel and builds the same span tree as the sequential run
+    (tested in test_parallel.ml).
     @raise Eval_error on dynamic type errors or unbound variables. *)
 
 val truthy : Value.t -> bool
@@ -65,8 +65,7 @@ type state = private {
   budget : Budget.t;
   run_id : int;
   telemetry : Telemetry.t option;
-  shard : Telemetry.shard option;
-  pool : Pool.t option;
+  pool : Pool.t option;  (** passed to the data kernels, never to closures *)
   mutable obs_cell : int ref;
   mutable peak_support : int;
   mutable peak_count : Bignat.t;

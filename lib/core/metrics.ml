@@ -130,13 +130,6 @@ let percentile h q =
     !ans
   end
 
-let merge_histogram ~into src =
-  Array.iteri
-    (fun i b -> ignore (Atomic.fetch_and_add into.buckets.(i) (Atomic.get b)))
-    src.buckets;
-  ignore (Atomic.fetch_and_add into.count (Atomic.get src.count));
-  ignore (Atomic.fetch_and_add into.sum (Atomic.get src.sum))
-
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition. *)
 

@@ -6,16 +6,14 @@
     tells you the distribution over a whole run (or a whole service
     lifetime).  All instruments are safe to update from any domain — a
     counter bump is one [Atomic.fetch_and_add], a histogram observation
-    two — so the evaluator, the pool and the fault registry update them
-    directly from parallel regions, exactly like the {!Telemetry} shard
-    counters merge across domains.
+    two — so the evaluator, the pool, the fault registry and the server's
+    worker domains update them directly.
 
     {b Buckets.}  Histograms are log-bucketed with eight sub-buckets per
     octave (values below 16 are exact), giving ~12.5% relative resolution
     over the full [int] range with a fixed 512-slot table.  Percentiles
     (p50/p90/p99, any quantile) are read back as the upper bound of the
-    bucket holding that rank — the standard HDR-style approximation, and
-    mergeable across registries/shards by adding bucket counts.
+    bucket holding that rank — the standard HDR-style approximation.
 
     {b Naming.}  Follow Prometheus conventions: [snake_case], a unit
     suffix ([_ns], [_total]), a [balg_] prefix for the engine's own
@@ -65,9 +63,6 @@ val percentile : histogram -> float -> float
 (** [percentile h q] for [q] in [0,1]: the upper bound of the bucket
     containing the [ceil (q * count)]-th smallest observation; [0.] when
     empty.  [q] outside [0,1] clamps. *)
-
-val merge_histogram : into:histogram -> histogram -> unit
-(** Fold [src]'s bucket counts and sum into [into] (shard-merge). *)
 
 (** {1 Snapshots} *)
 

@@ -22,7 +22,6 @@ let m_live = Metrics.gauge Metrics.default "balg_pool_live_domains"
 type t = {
   jobs : int;
   chunk_min : int;
-  fork_min : int;
   queue : (unit -> unit) Queue.t;  (* guarded by [lock] *)
   lock : Mutex.t;
   nonempty : Condition.t;
@@ -32,7 +31,6 @@ type t = {
 
 let jobs t = t.jobs
 let chunk_min t = t.chunk_min
-let fork_min t = t.fork_min
 
 (* Workers block on [nonempty] until a task arrives or the pool closes.
    Tasks are result-capturing wrappers built by [run]; they never raise. *)
@@ -57,13 +55,12 @@ let worker t () =
   in
   loop ()
 
-let create ?(chunk_min = 512) ?(fork_min = 24) ~jobs () =
+let create ?(chunk_min = 512) ~jobs () =
   let jobs = max 1 jobs in
   let t =
     {
       jobs;
       chunk_min;
-      fork_min;
       queue = Queue.create ();
       lock = Mutex.create ();
       nonempty = Condition.create ();
@@ -167,10 +164,10 @@ let run t thunks =
            (function Some r -> r | None -> assert false (* all completed *))
            results)
 
-let with_pool ?chunk_min ?fork_min ~jobs f =
+let with_pool ?chunk_min ~jobs f =
   if jobs <= 1 then f None
   else begin
-    let t = create ?chunk_min ?fork_min ~jobs () in
+    let t = create ?chunk_min ~jobs () in
     match f (Some t) with
     | v ->
         shutdown t;

@@ -1,32 +1,34 @@
-(** A work-sharing pool of OCaml 5 domains for data-parallel kernels.
+(** A work-sharing pool of OCaml 5 domains for the data kernels.
 
-    The evaluator's hot paths — per-element MAP bodies, σ predicates,
-    Cartesian products — are embarrassingly parallel over the sorted
-    support of a canonical bag.  A {!t} owns [jobs - 1] persistent worker
-    domains plus the calling domain: {!run} enqueues a batch of thunks on a
-    shared queue and the caller {e helps} drain it, so nested parallel
-    regions (a parallel product inside a parallel MAP body) never deadlock
-    — a blocked owner is always either executing queued work or waiting on
-    tasks that some other domain is executing.
+    The pool is used by the data kernels and nothing else: {!Bag.product},
+    {!Bag.proj}, {!Bag.select_eq}, {!Bag.join_eq}, {!Vec.product},
+    {!Vec.select_scalar} and {!Vec.join} split the sorted support (or row
+    range) of their input into contiguous chunks and run them here.  The
+    evaluators' compiled closures never run on a worker domain, so fuel
+    charges, memo tables and telemetry spans stay on the calling domain.
 
-    Thresholds live here so every call site agrees on when parallelism
-    pays: {!chunk_min} is the minimum number of support elements (or
-    product rows) worth chunking, {!fork_min} the minimum {!Expr.size} of
-    {e both} operands of a binary operator worth forking.  Tests set both
-    to 1 to force the parallel paths onto tiny inputs. *)
+    A {!t} owns [jobs - 1] persistent worker domains plus the calling
+    domain: {!run} enqueues a batch of thunks on a shared queue and the
+    caller {e helps} drain it, so a task that submits a nested batch never
+    deadlocks — a blocked owner is always either executing queued work or
+    waiting on tasks that some other domain is executing.
+
+    {!chunk_min}, the minimum number of support elements (or product rows)
+    worth chunking, lives here so every kernel agrees on when parallelism
+    pays.  Tests set it to 1 to force the chunked paths onto tiny
+    inputs. *)
 
 type t
 
-val create : ?chunk_min:int -> ?fork_min:int -> jobs:int -> unit -> t
+val create : ?chunk_min:int -> jobs:int -> unit -> t
 (** Spawn [jobs - 1] worker domains ([jobs <= 1] spawns none and {!run}
-    degenerates to sequential iteration).  Defaults: [chunk_min = 512],
-    [fork_min = 24].  A failed spawn — the [pool.spawn] {!Fault} site, or
-    a real resource failure — degrades the pool to fewer workers rather
-    than raising: the helping caller keeps every batch completing. *)
+    degenerates to sequential iteration).  Default: [chunk_min = 512].  A
+    failed spawn — the [pool.spawn] {!Fault} site, or a real resource
+    failure — degrades the pool to fewer workers rather than raising: the
+    helping caller keeps every batch completing. *)
 
 val jobs : t -> int
 val chunk_min : t -> int
-val fork_min : t -> int
 
 val live : t -> int
 (** Worker domains spawned and not yet joined; [0] after {!shutdown}
@@ -35,8 +37,8 @@ val live : t -> int
 val run : t -> (unit -> 'a) list -> ('a, exn) result list
 (** Execute the thunks, possibly in parallel, returning per-thunk results
     in input order.  Exceptions are captured per thunk, never re-raised
-    here — the caller decides how to combine failures (the evaluator picks
-    the budget verdict with the smallest node id).  Safe to call from
+    here — the caller decides how to combine failures (the kernels
+    re-raise the first).  Safe to call from
     inside a running task (the nested call shares the queue).  The
     [pool.task] {!Fault} site fires here: an injected worker death
     surfaces as that thunk's [Error], never as a lost task or a hung
@@ -45,8 +47,7 @@ val run : t -> (unit -> 'a) list -> ('a, exn) result list
 val shutdown : t -> unit
 (** Join the worker domains.  The pool must not be used afterwards. *)
 
-val with_pool :
-  ?chunk_min:int -> ?fork_min:int -> jobs:int -> (t option -> 'a) -> 'a
+val with_pool : ?chunk_min:int -> jobs:int -> (t option -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f (Some pool)] with a fresh pool and shuts it
     down afterwards (also on exceptions); [jobs <= 1] runs [f None]. *)
 

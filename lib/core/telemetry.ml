@@ -65,51 +65,6 @@ let record_result sp ~support ~size ~count ~cardinal =
 let record_memo_hit sp = sp.memo_hits <- sp.memo_hits + 1
 let record_memo_miss sp = sp.memo_misses <- sp.memo_misses + 1
 
-(* ------------------------------------------------------------------ *)
-(* Shards: per-domain counter tables for parallel evaluation.  A task
-   running on a worker domain records into its own shard (domain-local, no
-   locks); the evaluator merges shards into the parent shard — or, at the
-   top, into the registered span tree — when the parallel region joins.
-   Merging adds the additive counters and maxes the peaks, so the
-   steps == fuel invariant survives any interleaving. *)
-
-type shard = (int, span) Hashtbl.t
-
-let shard () : shard = Hashtbl.create 16
-
-let shard_span (sh : shard) ~id ~op =
-  match Hashtbl.find_opt sh id with
-  | Some sp -> sp
-  | None ->
-      let sp = fresh_span id op in
-      Hashtbl.add sh id sp;
-      sp
-
-let merge_counters ~into:dst src =
-  dst.invocations <- dst.invocations + src.invocations;
-  dst.steps <- dst.steps + src.steps;
-  dst.time_s <- dst.time_s +. src.time_s;
-  dst.alloc_words <- dst.alloc_words +. src.alloc_words;
-  if src.peak_support > dst.peak_support then dst.peak_support <- src.peak_support;
-  if src.peak_size > dst.peak_size then dst.peak_size <- src.peak_size;
-  dst.peak_count <- max_bignat dst.peak_count src.peak_count;
-  dst.peak_cardinal <- max_bignat dst.peak_cardinal src.peak_cardinal;
-  dst.memo_hits <- dst.memo_hits + src.memo_hits;
-  dst.memo_misses <- dst.memo_misses + src.memo_misses
-
-let merge_shard_into_shard (dst : shard) (src : shard) =
-  Hashtbl.iter
-    (fun id sp -> merge_counters ~into:(shard_span dst ~id ~op:sp.op) sp)
-    src
-
-let merge_shard t (sh : shard) =
-  Hashtbl.iter
-    (fun id sp ->
-      match Hashtbl.find_opt t.tbl id with
-      | Some main -> merge_counters ~into:main sp
-      | None -> () (* span not registered: compile ran without this sink *))
-    sh
-
 let fold t f init =
   Hashtbl.fold (fun _ sp acc -> f acc sp) t.tbl init
 

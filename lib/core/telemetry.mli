@@ -57,27 +57,6 @@ val record_result :
 val record_memo_hit : span -> unit
 val record_memo_miss : span -> unit
 
-(** {1 Shards — per-domain recording for parallel evaluation}
-
-    A shard is a private table of counter spans keyed by node id.  Each
-    task of a parallel region records into its own shard (domain-local:
-    no locks, no contention) and the evaluator merges shards back into the
-    enclosing shard — or the registered span tree at the top — when the
-    region joins.  Additive counters add, peaks max, so {!total_steps}
-    still equals the governor's spent fuel after any interleaving. *)
-
-type shard
-
-val shard : unit -> shard
-val shard_span : shard -> id:int -> op:string -> span
-(** Find-or-create the shard's counter span for a node. *)
-
-val merge_shard_into_shard : shard -> shard -> unit
-(** [merge_shard_into_shard dst src]: fold [src]'s counters into [dst]. *)
-
-val merge_shard : t -> shard -> unit
-(** Fold a shard into the registered span tree (top-level join). *)
-
 (** {1 Aggregation} *)
 
 val total_steps : t -> int

@@ -21,11 +21,12 @@
     is preserved: every unit charged lands in the innermost traced node's
     cell exactly as in {!Eval}.
 
-    Parallelism lives {e inside} the kernels ({!Vec.product} /
-    {!Vec.select_scalar} chunk contiguous row ranges over the pool);
-    the compiled closures themselves run on the calling domain, so hybrid
-    values are never shared across domains and their memoising mutation
-    needs no locks. *)
+    Parallelism lives {e inside} the kernels ({!Vec.product},
+    {!Vec.select_scalar} and {!Vec.join} chunk contiguous row ranges over
+    the pool); the compiled closures themselves run on the calling domain,
+    as in {!Eval}, so hybrid values are never shared across domains, their
+    memoising mutation needs no locks, and a pooled run spends the
+    sequential run's fuel. *)
 
 type engine = Tree | Vec
 

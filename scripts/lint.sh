@@ -43,6 +43,18 @@ for f in lib/core/pool.ml lib/core/bag.ml lib/core/eval.ml lib/core/vec.ml lib/c
   fi
 done
 
+# one parallelism mechanism: only the data kernels (Bag, Vec) use the
+# pool.  Both engines run every compiled closure on the calling domain, so
+# fuel charges, memo tables and telemetry spans never leave it and a
+# pooled run spends exactly the sequential run's fuel (test_parallel.ml).
+# Neither engine may submit pool work or spawn a domain itself.
+bad=$(grep -nE 'Pool\.(run|create)|Domain\.spawn' lib/core/eval.ml lib/core/veval.ml || true)
+if [ -n "$bad" ]; then
+  echo "lint: compiled closures must stay on the calling domain; pass ?pool to a kernel instead:"
+  echo "$bad" | sed 's/^/  /'
+  fail=1
+fi
+
 # exit-discipline: only a CLI's top-level command dispatch may call exit.
 # Library, test and example code must return errors (result values,
 # structured verdicts, Db_error) instead — a stray exit in an error path

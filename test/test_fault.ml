@@ -119,7 +119,7 @@ let test_concurrent_cancel_joins_pool () =
     List.map
       (fun delay ->
         let budget = Budget.start roomy_limits in
-        let p = Pool.create ~chunk_min:1 ~fork_min:1 ~jobs () in
+        let p = Pool.create ~chunk_min:1 ~jobs () in
         let canceller =
           Domain.spawn (fun () ->
               Unix.sleepf delay;

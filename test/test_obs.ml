@@ -7,7 +7,7 @@
        on success, exhaustion, cancellation and injected faults alike;
      - timestamps are non-decreasing within a tid;
      - the sum of "steps" over eval end events equals the governor's
-       spent fuel, sequentially and across a 4-domain pool;
+       spent fuel, sequentially and with a 4-domain pool;
      - a failed run's trace still ends with a "done" instant carrying
        the verdict.
 
@@ -25,7 +25,7 @@ let with_obs ?capacity f =
   Fun.protect ~finally:Obs.disable f
 
 let with_test_pool f =
-  let p = Pool.create ~chunk_min:1 ~fork_min:1 ~jobs () in
+  let p = Pool.create ~chunk_min:1 ~jobs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
 let rng = Random.State.make [| 20260806 |]
@@ -83,16 +83,6 @@ let test_histogram_percentiles () =
   Metrics.observe h2 (-5);
   Alcotest.(check bool) "negative clamps to 0" true
     (Metrics.hist_count h2 = 5 && Metrics.percentile h2 0.01 = 0.)
-
-let test_histogram_merge () =
-  let r = Metrics.create () in
-  let a = Metrics.histogram r "a" and b = Metrics.histogram r "b" in
-  List.iter (Metrics.observe a) [ 1; 2; 3 ];
-  List.iter (Metrics.observe b) [ 7; 8; 9 ];
-  Metrics.merge_histogram ~into:a b;
-  Alcotest.(check int) "merged count" 6 (Metrics.hist_count a);
-  Alcotest.(check int) "merged sum" 30 (Metrics.hist_sum a);
-  Alcotest.(check (float 0.0)) "merged p99" 9. (Metrics.percentile a 0.99)
 
 let test_prometheus_snapshot () =
   let r = Metrics.create () in
@@ -319,7 +309,7 @@ let test_trace_steps_equal_fuel_parallel () =
           let r, budget, evs = run_traced ~pool selfjoin_q in
           Alcotest.(check bool) "run succeeded" true (Result.is_ok r);
           check_balanced evs;
-          Alcotest.(check int) "steps == fuel across domains"
+          Alcotest.(check int) "steps == fuel with a pool"
             (Budget.fuel_spent budget) (sum_eval_steps evs)))
 
 let test_trace_faulted_run () =
@@ -375,7 +365,6 @@ let () =
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram percentiles" `Quick
             test_histogram_percentiles;
-          Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
           Alcotest.test_case "prometheus snapshot" `Quick
             test_prometheus_snapshot;
         ] );

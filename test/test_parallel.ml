@@ -1,11 +1,13 @@
-(* Tests for the multicore evaluation engine: the work-sharing pool itself,
-   bit-identical sequential-vs-parallel results on random expressions, the
-   steps == fuel telemetry invariant across domain joins, and deterministic
-   exhaustion verdicts under concurrent budget charging.
+(* Tests for pooled evaluation: the work-sharing pool itself, and the
+   guarantee that a pool changes nothing observable.  Only the data kernels
+   use the pool; every compiled closure runs on the calling domain, so a
+   pooled run of either engine must return the same value or verdict,
+   spend the same fuel and build the same span tree as the sequential run,
+   with the steps == fuel telemetry invariant intact.
 
-   The pool under test uses [chunk_min = 1] and [fork_min = 1] so the
-   parallel code paths fire even on the tiny inputs a test can afford;
-   [BALG_TEST_JOBS] (default 4) sets the domain count so CI can pin it. *)
+   The pool under test uses [chunk_min = 1] so the chunked kernels fire
+   even on the tiny inputs a test can afford; [BALG_TEST_JOBS] (default 4)
+   sets the domain count so CI can pin it. *)
 
 open Balg
 
@@ -15,7 +17,7 @@ let jobs =
   | None -> 4
 
 let with_test_pool f =
-  let p = Pool.create ~chunk_min:1 ~fork_min:1 ~jobs () in
+  let p = Pool.create ~chunk_min:1 ~jobs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
 let value = Alcotest.testable Value.pp Value.equal
@@ -81,14 +83,12 @@ let test_chunks () =
         (List.length c >= 5 && List.length c <= 6))
     cs
 
-(* --- sequential vs parallel differential ----------------------------------- *)
+(* --- sequential vs pooled differential ------------------------------------ *)
 
 let env_spec = [ ("R", 1); ("S", 2) ]
 
-(* Generous limits: the point here is comparing *values*, so (almost)
-   nothing should exhaust.  The two sides may spend different amounts of
-   fuel — domain-local memo tables see different subsets of the work — so
-   exhaustion equivalence is not part of this property. *)
+(* Roomy limits let (almost) every run finish, so values are compared;
+   tight limits make fuel and support verdicts common, so verdicts are. *)
 let roomy_limits =
   {
     Budget.default with
@@ -96,6 +96,26 @@ let roomy_limits =
     max_support = 200_000;
     max_size = 5_000_000;
   }
+
+let tight_limits = { Budget.default with Budget.fuel = 80; max_support = 16 }
+
+(* Everything a run exposes: its value or its verdict's resource, node and
+   op, the fuel it spent, and its span tree (calls, steps and peak support
+   per node). *)
+let observe_run engine ?pool limits env e =
+  let budget = Budget.start limits in
+  let t = Telemetry.create () in
+  let outcome =
+    match Veval.run_engine engine ~budget ~telemetry:t ?pool env e with
+    | Ok v -> Ok v
+    | Error x -> Error (x.Budget.resource, x.Budget.at_node, x.Budget.op)
+  in
+  (outcome, Budget.fuel_spent budget, Telemetry.to_string t)
+
+let outcome_to_string = function
+  | Ok v -> Value.to_string v
+  | Error (r, node, op) ->
+      Printf.sprintf "%s at #%d %s" (Budget.resource_to_string r) node op
 
 let differential gen gen_name =
   QCheck.Test.make
@@ -110,11 +130,32 @@ let differential gen gen_name =
             (fun _ ->
               let inst = Baggen.Genexpr.instance rng env_spec in
               let env = Eval.env_of_list inst in
-              let seq = Eval.run ~limits:roomy_limits env e in
-              let par = Eval.run ~limits:roomy_limits ~pool:p env e in
-              match (seq, par) with
-              | Ok v, Ok v' -> Value.equal v v'
-              | Error _, _ | _, Error _ -> true)
+              List.for_all
+                (fun (engine, lname, limits) ->
+                  let o, fuel, tree = observe_run engine limits env e in
+                  let o', fuel', tree' =
+                    observe_run engine ~pool:p limits env e
+                  in
+                  let same_outcome =
+                    match (o, o') with
+                    | Ok v, Ok v' -> Value.equal v v'
+                    | Error x, Error x' -> x = x'
+                    | Ok _, Error _ | Error _, Ok _ -> false
+                  in
+                  same_outcome && fuel = fuel' && tree = tree'
+                  || QCheck.Test.fail_reportf
+                       "%s engine, %s limits, %s\n\
+                        sequential: %s, fuel %d\n%s\n\
+                        pooled:     %s, fuel %d\n%s"
+                       (Veval.engine_to_string engine) lname
+                       (Expr.to_string e) (outcome_to_string o) fuel tree
+                       (outcome_to_string o') fuel' tree')
+                [
+                  (Veval.Tree, "roomy", roomy_limits);
+                  (Veval.Tree, "tight", tight_limits);
+                  (Veval.Vec, "roomy", roomy_limits);
+                  (Veval.Vec, "tight", tight_limits);
+                ])
             (List.init 6 Fun.id)))
 
 let differential_flat =
@@ -154,16 +195,16 @@ let test_steps_equal_fuel () =
       | Ok _ -> ()
       | Error x -> Alcotest.failf "unexpected exhaustion: %s" (Budget.exhaustion_to_string x));
       Alcotest.(check int)
-        "every shard-merged telemetry step is a governor fuel unit"
+        "every telemetry step of a pooled run is a governor fuel unit"
         (Budget.fuel_spent budget)
         (Telemetry.total_steps t))
 
 (* --- deterministic exhaustion ---------------------------------------------- *)
 
 let test_deterministic_exhaustion () =
-  (* a product whose materialisation exceeds max_support: every chunk
-     charges the same node, and concurrent trips must publish one verdict —
-     the smallest exhausting node id — run after run *)
+  (* a product whose materialisation exceeds max_support under a pool:
+     the kernel's chunks charge nothing, the calling domain checks the
+     joined result, and the verdict is the same run after run *)
   let q = selfjoin_query (Random.State.make [| 13 |]) in
   let limits = { Budget.default with Budget.fuel = 1_000_000; max_support = 100 } in
   with_test_pool (fun p ->
@@ -226,7 +267,7 @@ let test_chaos_pool_shutdown () =
      progress); task faults surface as per-thunk Injected errors; and
      shutdown must still leave zero live domains *)
   Fault.with_faults ~seed:7 "pool.spawn:every=2,pool.task:p=0.2" (fun () ->
-      let p = Pool.create ~chunk_min:1 ~fork_min:1 ~jobs () in
+      let p = Pool.create ~chunk_min:1 ~jobs () in
       let results = Pool.run p (List.init 40 (fun i () -> i)) in
       Alcotest.(check int) "every thunk answered" 40 (List.length results);
       List.iteri

@@ -19,7 +19,7 @@ let jobs =
   | None -> 4
 
 let with_test_pool f =
-  let p = Pool.create ~chunk_min:1 ~fork_min:1 ~jobs () in
+  let p = Pool.create ~chunk_min:1 ~jobs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
 let value = Alcotest.testable Value.pp Value.equal
