@@ -304,6 +304,12 @@ let json_benches ?pool () =
         (fun () ->
           ignore (Vec.to_value (Vec.map_scalar proj14 (Lazy.force vecprod300))));
       metered ~engine:Veval.Vec "selfjoin_binary300_vec" (Lazy.force selfjoin300_q);
+      (* planned once outside the timing loop, so the row prices the two
+         stacked Vec.join kernels rather than the planner *)
+      metered ~engine:Veval.Vec "join_chain300_vec"
+        (Opt.prepare ~engine:Veval.Vec Opt.Cost (Typecheck.env_of_list [])
+           (Lazy.force join_chain300_q));
+      metered ~engine:Veval.Vec "transitive_closure_graph8_vec" tc_q;
     ]
   in
   (* With [--jobs N], the parallelizable benches also run as [_jobsN] rows so

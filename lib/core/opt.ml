@@ -326,7 +326,7 @@ let optimize ?(vals = []) ?(engine = Veval.Tree) mode tenv e0 =
   let accept cb ca = if !invert_cost then ca > cb else ca < cb in
   let all_rules = Rewrite.sound_rules @ rules in
   let changed_in_pass = ref false in
-  let try_node e =
+  let try_node tenv e =
     let rec fire e fuel =
       if fuel = 0 || !faulted then e
       else
@@ -373,14 +373,15 @@ let optimize ?(vals = []) ?(engine = Veval.Tree) mode tenv e0 =
     in
     fire e 16
   in
-  let rec bottom_up e =
-    if !faulted then e else try_node (Rewrite.map_children bottom_up e)
+  let rec bottom_up tenv e =
+    if !faulted then e
+    else try_node tenv (Rewrite.map_children_env bottom_up tenv e)
   in
   let rec passes n e =
     if n = 0 || !faulted then e
     else begin
       changed_in_pass := false;
-      let e' = bottom_up e in
+      let e' = bottom_up tenv e in
       if !changed_in_pass then passes (n - 1) e' else e'
     end
   in

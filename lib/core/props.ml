@@ -148,18 +148,45 @@ let apply_calib calib e p =
         in
         { p with rows }
 
+(* The facts of a supplied relation — its [of_value] record and its
+   cardinality as an int — cost O(rows) each, and the planner asks for them
+   at every node of every candidate plan it costs.  Each domain memoises
+   them for the [vals] list it saw last, compared physically (lists and
+   values are immutable), so one planning run pays once per relation.  The
+   list is held by an ephemeron: the memo never keeps a database snapshot
+   alive after its request. *)
+let leaf_memo = Domain.DLS.new_key (fun () -> ref None)
+
+let leaf vals x =
+  match List.assoc_opt x vals with
+  | None -> None
+  | Some v -> (
+      let memo = Domain.DLS.get leaf_memo in
+      let tbl =
+        match Option.bind !memo (fun eph -> Ephemeron.K1.query eph vals) with
+        | Some tbl -> tbl
+        | None ->
+            let tbl = Hashtbl.create 16 in
+            memo := Some (Ephemeron.K1.make vals tbl);
+            tbl
+      in
+      match Hashtbl.find_opt tbl x with
+      | Some _ as r -> r
+      | None ->
+          let card =
+            if Value.is_bag v then Bignat.to_int_opt (Value.cardinal v) else None
+          in
+          let r = (of_value v, card) in
+          Hashtbl.add tbl x r (* domain-local: DLS memo *);
+          Some r)
+
 let infer ?(vals = []) ?calib (tenv : Typecheck.env) e =
   let calib =
     match calib with Some f -> f | None -> Calib.lookup_current
   in
   (* Known input cardinality for the Polyab path: only meaningful when the
      expression reads a single relation. *)
-  let input_card x =
-    match List.assoc_opt x vals with
-    | Some v when Value.is_bag v ->
-        Option.bind (Bignat.to_int_opt (Value.cardinal v)) Option.some
-    | _ -> None
-  in
+  let input_card x = Option.bind (leaf vals x) snd in
   let rec go (penv : t Env.t) e : t =
     let p =
       match e with
@@ -167,8 +194,8 @@ let infer ?(vals = []) ?calib (tenv : Typecheck.env) e =
           match Env.find_opt x penv with
           | Some p -> p
           | None -> (
-              match List.assoc_opt x vals with
-              | Some v -> of_value v
+              match leaf vals x with
+              | Some (p, _) -> p
               | None -> (
                   match Typecheck.Env.find_opt x tenv with
                   | Some (Ty.Bag (Ty.Tuple ts)) ->

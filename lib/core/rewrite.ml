@@ -110,6 +110,35 @@ and map_children f e =
   | Expr.Fix (x, body, seed) -> Expr.Fix (x, f body, f seed)
   | Expr.BFix (bound, x, body, seed) -> Expr.BFix (f bound, x, f body, f seed)
 
+(* The environment of a binder's body: [x] at [ty_of env e], or removed
+   when that does not infer, so the body never sees the type of an outer
+   binding it shadows. *)
+let bind env x ty_of e =
+  match ty_of env e with
+  | t -> Typecheck.Env.add x t env
+  | exception Typecheck.Type_error _ -> Typecheck.Env.remove x env
+
+let elem_ty env e =
+  match Typecheck.infer env e with
+  | Ty.Bag t -> t
+  | _ -> raise (Typecheck.Type_error "binder over a non-bag")
+
+let map_children_env f env e =
+  match e with
+  | Expr.Map (x, body, src) ->
+      Expr.Map (x, f (bind env x elem_ty src) body, f env src)
+  | Expr.Select (x, l, r, src) ->
+      let env' = bind env x elem_ty src in
+      Expr.Select (x, f env' l, f env' r, f env src)
+  | Expr.Let (x, bound, body) ->
+      Expr.Let (x, f env bound, f (bind env x Typecheck.infer bound) body)
+  | Expr.Fix (x, body, seed) ->
+      Expr.Fix (x, f (bind env x Typecheck.infer seed) body, f env seed)
+  | Expr.BFix (bound, x, body, seed) ->
+      Expr.BFix
+        (f env bound, x, f (bind env x Typecheck.infer seed) body, f env seed)
+  | _ -> map_children (f env) e
+
 let is_empty_lit = function
   | Expr.Lit (v, _) -> Value.is_empty_bag v
   | _ -> false
@@ -331,10 +360,12 @@ let set_only_rules = [ rule_selfproduct_elim_setonly; rule_dedup_elim_setonly ]
 (** {1 Driving} *)
 
 (* One bottom-up pass: rewrite children first, then try rules at the node
-   until none applies. *)
+   until none applies.  Every node is rewritten under the environment it is
+   typed in (binder variables included), so rules that read arities see
+   the binding in scope, not an outer one it shadows. *)
 let rewrite_pass env rules e =
   let applied = ref [] in
-  let rec at_node e =
+  let rec at_node env e =
     let rec fire e fuel =
       if fuel = 0 then e
       else
@@ -352,9 +383,9 @@ let rewrite_pass env rules e =
             fire e' (fuel - 1)
         | None -> e
     in
-    fire (map_children at_node e) 16
+    fire (map_children_env at_node env e) 16
   in
-  let e' = at_node e in
+  let e' = at_node env e in
   (e', List.rev !applied)
 
 (** Rewrite to a fixpoint of the sound rules (bounded number of passes).

@@ -19,9 +19,15 @@ val arity_of : Typecheck.env -> Expr.t -> int option
 (** Tuple width of a flat bag-of-tuples expression, [None] when the type
     is something else or does not infer (e.g. under an unrecorded binder). *)
 
-val map_children : (Expr.t -> Expr.t) -> Expr.t -> Expr.t
-(** Rebuild a node with [f] applied to each immediate subexpression
-    (binders untouched) — the traversal step shared with {!Opt}. *)
+val map_children_env :
+  (Typecheck.env -> Expr.t -> Expr.t) -> Typecheck.env -> Expr.t -> Expr.t
+(** Rebuild a node with [f env'] applied to each immediate subexpression,
+    where [env'] is the environment that child is typed in: a [map] or
+    [select] body sees its variable at the source's element type, a [let]
+    body at the bound expression's type, a [fix]/[bfix] body at the seed's
+    type.  A binder type that does not infer removes the name from [env']
+    rather than leave an outer binding it shadows visible.  This is the
+    traversal step of {!normalize} and of {!Opt.optimize}. *)
 
 (** {1 Bag-sound rules} *)
 

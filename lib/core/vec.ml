@@ -85,12 +85,35 @@ let cnt_get c i =
   let m = c.small.(i) in
   if m >= 0 then Bignat.of_int m else Hashtbl.find c.spill i
 
-let cnt_set c i b =
+(* Write [b] into slot [k] of count arrays under construction. *)
+let set_slot small spill k (b : Bignat.t) =
   match Bignat.to_int_opt b with
-  | Some m -> c.small.(i) <- m
+  | Some m -> small.(k) <- m
   | None ->
-      c.small.(i) <- spilled;
-      Hashtbl.replace c.spill i b (* domain-local: spill of a fresh counts value *)
+      small.(k) <- spilled;
+      Hashtbl.replace spill k b (* domain-local: fresh counts under construction *)
+
+let cnt_set c i b = set_slot c.small c.spill i b
+
+(* Slot [j] += count [i] of [c]: machine ints until the sum leaves [int]
+   range. *)
+let add_slot small spill j c i =
+  let a = small.(j) and b = c.small.(i) in
+  if a >= 0 && b >= 0 && a + b >= 0 then small.(j) <- a + b
+  else begin
+    let cur = if a >= 0 then Bignat.of_int a else Hashtbl.find spill j in
+    small.(j) <- spilled;
+    Hashtbl.replace spill j (Bignat.add cur (cnt_get c i)) (* domain-local: fresh accumulator *)
+  end
+
+(* Slot [k] := count [i] of [ca] * count [j] of [cb], int fast path. *)
+let mul_slot small spill k ca i cb j =
+  let a = ca.small.(i) and b = cb.small.(j) in
+  if a = 1 && b >= 0 then small.(k) <- b
+  else if b = 1 && a >= 0 then small.(k) <- a
+  else if (a = 0 && b >= 0) || (b = 0 && a >= 0) then small.(k) <- 0
+  else if a > 0 && b > 0 && a <= max_int / b then small.(k) <- a * b
+  else set_slot small spill k (Bignat.mul (cnt_get ca i) (cnt_get cb j))
 
 let cnt_hash c i =
   let m = c.small.(i) in
@@ -142,15 +165,6 @@ let concat_counts (parts : counts list) : counts =
         parts;
       { small; spill }
 
-(* dst_small/dst_spill assembly slot: the write side of [cnt_set] for
-   arrays still under construction. *)
-let set_slot small spill k (b : Bignat.t) =
-  match Bignat.to_int_opt b with
-  | Some m -> small.(k) <- m
-  | None ->
-      small.(k) <- spilled;
-      Hashtbl.replace spill k b (* domain-local: fresh counts under construction *)
-
 (* Pairwise products cnt_a(ia.(k)) * cnt_b(ib.(k)), int fast path. *)
 let mul_counts ca ia cb ib : counts =
   let n = Array.length ia in
@@ -158,20 +172,7 @@ let mul_counts ca ia cb ib : counts =
   let small = Array.make n 0 in
   let spill = Hashtbl.create 0 in
   for k = 0 to n - 1 do
-    let i = ia.(k) and j = ib.(k) in
-    let a = ca.small.(i) and b = cb.small.(j) in
-    if a >= 0 && b >= 0 then begin
-      let m =
-        if a = 1 then b
-        else if b = 1 then a
-        else if a = 0 || b = 0 then 0
-        else if a <= max_int / b then a * b
-        else spilled (* overflow: recompute exactly below *)
-      in
-      if m >= 0 then small.(k) <- m
-      else set_slot small spill k (Bignat.mul (Bignat.of_int a) (Bignat.of_int b))
-    end
-    else set_slot small spill k (Bignat.mul (cnt_get ca i) (cnt_get cb j))
+    mul_slot small spill k ca ia.(k) cb ib.(k)
   done;
   { small; spill }
 
@@ -245,14 +246,20 @@ let rec same_rep c1 c2 =
 
 let mix h k = (h * 0x01000193) lxor k
 
+(* Injective on codes (an odd multiplier permutes the residues the mask
+   keeps), so two atom cells hash equal exactly when their codes do. *)
+let atom_hash code = (code + 1) * 0x9e3779b1 land max_int
+
 (* Structural hash of one cell; equal cells (same or different vectors)
    hash equal because atom codes are global and segments are canonical. *)
 let rec cell_hash (c : col) (i : int) : int =
   match c with
-  | CAtom a -> (a.(i) + 1) * 0x9e3779b1 land max_int
+  | CAtom a -> atom_hash a.(i)
   | CTuple cs ->
       let h = ref 0x811c9dc5 in
-      Array.iter (fun comp -> h := mix !h (cell_hash comp i)) cs;
+      for p = 0 to Array.length cs - 1 do
+        h := mix !h (cell_hash cs.(p) i)
+      done;
       !h land max_int
   | CBag { off; elems; ecnt } ->
       let h = ref 0x5bd1e995 in
@@ -320,7 +327,12 @@ let rec cell_compare (c : col) (i : int) (j : int) : int =
 
 let rec gather_col (c : col) (idx : int array) : col =
   match c with
-  | CAtom a -> CAtom (Array.map (fun i -> a.(i)) idx)
+  | CAtom a ->
+      let out = Array.make (Array.length idx) 0 in
+      for k = 0 to Array.length idx - 1 do
+        out.(k) <- a.(idx.(k))
+      done;
+      CAtom out
   | CTuple cs -> CTuple (Array.map (fun comp -> gather_col comp idx) cs)
   | CBag { off; elems; ecnt } ->
       let n = Array.length idx in
@@ -401,45 +413,142 @@ let concat_vecs (parts : t list) : t =
       }
 
 (* ------------------------------------------------------------------ *)
-(* Coalescing: group equal rows by cell hash, summing counts (machine
-   ints until a sum leaves [int] range).  Returns representative row
-   indices in first-seen order plus the merged counts, indexed by
-   representative slot. *)
+(* The one hash index behind every grouping kernel (DESIGN §12): flat int
+   arrays, no boxed buckets.  A power of two >= 2 * capacity slots,
+   addressed by the top bits of a multiplicative mix of the hash, head
+   chains of entries; each entry keeps its row and that row's
+   [cell_hash], which a probe compares before the cells.  An index is
+   filled by the kernel that creates it and read-only after that, so
+   [join]'s pooled probe slices share one without locks. *)
 
-let distinct_rows (t : t) : int array * counts =
-  let n = t.rows in
-  let tbl : (int, int list) Hashtbl.t = Hashtbl.create ((2 * n) + 1) in
-  let reps = Array.make (max n 1) 0 in
-  let acc_small = Array.make (max n 1) 0 in
-  let acc_spill = Hashtbl.create 0 in
-  let nreps = ref 0 in
-  let add_into j i =
-    let a = acc_small.(j) and b = t.cnts.small.(i) in
-    if a >= 0 && b >= 0 && a + b >= 0 then acc_small.(j) <- a + b
-    else begin
-      let cur = if a >= 0 then Bignat.of_int a else Hashtbl.find acc_spill j in
-      acc_small.(j) <- spilled;
-      Hashtbl.replace acc_spill j (* domain-local: fresh accumulator *)
-        (Bignat.add cur (cnt_get t.cnts i))
-    end
-  in
-  for i = 0 to n - 1 do
-    let h = cell_hash t.data i in
-    let bucket = match Hashtbl.find_opt tbl h with Some b -> b | None -> [] in
-    match List.find_opt (fun j -> cell_eq t.data reps.(j) t.data i) bucket with
-    | Some j -> add_into j i
-    | None ->
-        let j = !nreps in
-        incr nreps;
-        reps.(j) <- i;
-        acc_small.(j) <- t.cnts.small.(i);
-        if t.cnts.small.(i) < 0 then
-          Hashtbl.replace acc_spill j (* domain-local: fresh accumulator *)
-            (Hashtbl.find t.cnts.spill i);
-        Hashtbl.replace tbl h (j :: bucket) (* domain-local: fresh table per call *)
+type index = {
+  mutable shift : int;  (** [Sys.int_size] minus log2 of the slot count *)
+  mutable head : int array;  (** slot -> newest entry, -1 when empty *)
+  mutable next : int array;  (** entry -> older entry of the same slot, or -1 *)
+  mutable hkey : int array;  (** entry -> [cell_hash] of its row *)
+  mutable row : int array;
+  mutable len : int;
+  limit : int;  (** rows the kernel adds from: no more entries than this *)
+}
+
+let slot ix h = (h * 0x1e3779b97f4a7c15) lsr ix.shift
+
+(* Room for [cap] entries; the chains are rebuilt from the stored hashes. *)
+let index_resize ix cap =
+  let bits = ref 1 in
+  while 1 lsl !bits < 2 * cap do
+    incr bits
   done;
-  let m = !nreps in
-  (Array.sub reps 0 m, { small = Array.sub acc_small 0 m; spill = acc_spill })
+  let grow a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 ix.len;
+    b
+  in
+  ix.shift <- Sys.int_size - !bits;
+  ix.head <- Array.make (1 lsl !bits) (-1);
+  ix.next <- grow ix.next;
+  ix.hkey <- grow ix.hkey;
+  ix.row <- grow ix.row;
+  for e = 0 to ix.len - 1 do
+    let s = slot ix ix.hkey.(e) in
+    ix.next.(e) <- ix.head.(s);
+    ix.head.(s) <- e
+  done
+
+(* An empty index over [rows] rows, with room for 1024 entries at first:
+   a low-cardinality grouping never allocates in proportion to its input. *)
+let index_create rows =
+  let ix =
+    { shift = 0; head = [||]; next = [||]; hkey = [||]; row = [||];
+      len = 0; limit = rows }
+  in
+  index_resize ix (max 1 (min rows 1024));
+  ix
+
+(* Append an entry for row [r] with hash [h]; returns the entry.  Grouping
+   kernels add rows in order, so a full index grows to the entry count its
+   first [r + 1] rows project onto all of them (a quarter over): a
+   high-cardinality grouping resizes once or twice.  It always at least
+   doubles, which is all [join]'s descending build relies on. *)
+let index_add ix h r =
+  let e = ix.len in
+  if e = Array.length ix.next then begin
+    let projected =
+      int_of_float (float e *. float ix.limit /. float (r + 1) *. 1.25)
+    in
+    index_resize ix (min ix.limit (max (2 * e) projected))
+  end;
+  let s = slot ix h in
+  ix.hkey.(e) <- h;
+  ix.row.(e) <- r;
+  ix.next.(e) <- ix.head.(s);
+  ix.head.(s) <- e;
+  ix.len <- e + 1;
+  e
+
+let rec chain_find ix ci c i h e =
+  if e < 0 then -1
+  else if ix.hkey.(e) = h && cell_eq ci ix.row.(e) c i then e
+  else chain_find ix ci c i h ix.next.(e)
+
+(* The entry whose row of [ci] equals cell [i] of [c] (of hash [h]), or
+   -1 when there is none. *)
+let index_find ix ci h c i = chain_find ix ci c i h ix.head.(slot ix h)
+
+(* Grouping, with [ix] indexing rows of [c] itself: the entry of the row
+   equal to row [i], which becomes a new entry when there is none. *)
+let index_group ix c i =
+  let h = cell_hash c i in
+  let e = index_find ix c h c i in
+  if e >= 0 then e else index_add ix h i
+
+(* Coalescing: one entry per distinct row (its first occurrence, so
+   entries come in first-seen order) and the merged counts indexed by
+   entry, summed as machine ints until a sum leaves [int] range. *)
+let distinct_index (t : t) : index * counts =
+  let n = t.rows in
+  let ix = index_create n in
+  let acc = ref (Array.make (min n 1024) 0) in
+  let acc_spill = Hashtbl.create 0 in
+  let add_to e i =
+    if e >= Array.length !acc then begin
+      let b = Array.make (Array.length ix.next) 0 in
+      Array.blit !acc 0 b 0 e;
+      acc := b
+    end;
+    add_slot !acc acc_spill e t.cnts i
+  in
+  (match t.data with
+  | CTuple cs when Array.for_all (function CAtom _ -> true | _ -> false) cs ->
+      (* flat tuples of atoms: [cell_hash] and [cell_eq] as int loops *)
+      let cols = Array.map (function CAtom a -> a | _ -> assert false) cs in
+      let k = Array.length cols in
+      let rec same r i p =
+        p = k || (cols.(p).(r) = cols.(p).(i) && same r i (p + 1))
+      in
+      let rec find i h e =
+        if e < 0 then index_add ix h i
+        else if ix.hkey.(e) = h && same ix.row.(e) i 0 then e
+        else find i h ix.next.(e)
+      in
+      for i = 0 to n - 1 do
+        let h = ref 0x811c9dc5 in
+        for p = 0 to k - 1 do
+          h := mix !h (atom_hash cols.(p).(i))
+        done;
+        let h = !h land max_int in
+        add_to (find i h ix.head.(slot ix h)) i
+      done
+  | _ ->
+      for i = 0 to n - 1 do
+        add_to (index_group ix t.data i) i
+      done);
+  (ix, { small = Array.sub !acc 0 ix.len; spill = acc_spill })
+
+(* Representative row indices in first-seen order plus their counts. *)
+let distinct_rows (t : t) : int array * counts =
+  let ix, cnts = distinct_index t in
+  (Array.sub ix.row 0 ix.len, cnts)
 
 let coalesce t =
   let reps, cnts = distinct_rows t in
@@ -570,16 +679,7 @@ let ones_col code ({ off; elems = _; ecnt } : seg) (nrows : int) : col =
   let sum_spill = Hashtbl.create 0 in
   for i = 0 to nrows - 1 do
     for k = off.(i) to off.(i + 1) - 1 do
-      let a = sum_small.(i) and b = ecnt.small.(k) in
-      if a >= 0 && b >= 0 && a + b >= 0 then sum_small.(i) <- a + b
-      else begin
-        let cur =
-          if a >= 0 then Bignat.of_int a else Hashtbl.find sum_spill i
-        in
-        sum_small.(i) <- spilled;
-        Hashtbl.replace sum_spill i (* domain-local: fresh accumulator *)
-          (Bignat.add cur (cnt_get ecnt k))
-      end
+      add_slot sum_small sum_spill i ecnt k
     done
   done;
   let off' = Array.make (nrows + 1) 0 in
@@ -701,23 +801,7 @@ let product ?pool a b =
       end
       else
         for j = 0 to rb - 1 do
-          let bj = b.cnts.small.(j) in
-          (if ai >= 0 && bj >= 0 then begin
-             let m =
-               if ai = 1 then bj
-               else if bj = 1 then ai
-               else if ai = 0 || bj = 0 then 0
-               else if ai <= max_int / bj then ai * bj
-               else spilled (* overflow: recompute exactly below *)
-             in
-             if m >= 0 then small.(!k) <- m
-             else
-               set_slot small spill !k
-                 (Bignat.mul (Bignat.of_int ai) (Bignat.of_int bj))
-           end
-           else
-             set_slot small spill !k
-               (Bignat.mul (cnt_get a.cnts i) (cnt_get b.cnts j)));
+          mul_slot small spill !k a.cnts i b.cnts j;
           incr k
         done
     done;
@@ -765,15 +849,33 @@ let product ?pool a b =
       concat_vecs parts
   | _ -> slice (0, a.rows)
 
+(* Growable int buffer: the probe side of [join] collects its matches in
+   two of these instead of consing lists. *)
+type ibuf = { mutable buf : int array; mutable fill : int }
+
+let ibuf_make n = { buf = Array.make (max n 16) 0; fill = 0 }
+
+let ibuf_push b x =
+  if b.fill = Array.length b.buf then begin
+    let bigger = Array.make (2 * b.fill) 0 in
+    Array.blit b.buf 0 bigger 0 b.fill;
+    b.buf <- bigger
+  end;
+  b.buf.(b.fill) <- x;
+  b.fill <- b.fill + 1
+
+let ibuf_contents b = Array.sub b.buf 0 b.fill
+
 (* Keyed equijoin: σ_{i = ka+j}(a × b) without the product.  [b]'s rows
-   are bucketed by the hash of their [j]-th cell (cell_hash works across
+   go into one index keyed by their [j]-th cell (cell_hash works across
    vectors: atom codes are global, segments canonical); [a]'s rows probe
-   the table and matched (left, right) index pairs drive one gather per
-   column plus a pairwise count product — the same output rows the product
-   kernel would build and select_scalar would keep, so [to_value] coalesces
-   them to the identical canonical bag.  With a pool, probe slices cover
-   contiguous ranges of [a]'s rows against the shared table, frozen
-   (read-only) after the build. *)
+   it and matched (left, right) index pairs drive one gather per column
+   plus a pairwise count product — the same output rows the product
+   kernel would build and select_scalar would keep, so [to_value]
+   coalesces them to the identical canonical bag.  Atom keys compare
+   codes directly (their hash is injective).  With a pool, probe slices
+   cover contiguous ranges of [a]'s rows against the shared index, which
+   is read-only once built. *)
 let join ?pool i j a b =
   Fault.inject alloc_site;
   let acols = tuple_cols a.data and bcols = tuple_cols b.data in
@@ -782,28 +884,42 @@ let join ?pool i j a b =
   if j < 1 || j > Array.length bcols then
     unsupported "join: right attribute out of range";
   let ka = acols.(i - 1) and kb = bcols.(j - 1) in
-  let tbl : (int, int list) Hashtbl.t = Hashtbl.create ((2 * b.rows) + 1) in
+  let ix = index_create b.rows in
+  (* descending inserts leave every chain in ascending row order, so the
+     matches of one probe row come out in [b]'s (canonical) row order *)
   for r = b.rows - 1 downto 0 do
-    let h = cell_hash kb r in
-    let bucket = match Hashtbl.find_opt tbl h with Some l -> l | None -> [] in
-    Hashtbl.replace tbl h (r :: bucket) (* domain-local: fresh table per call, read-only after the build loop *)
+    ignore (index_add ix (cell_hash kb r) r)
   done;
   let probe_slice (lo, hi) =
-    let ia = ref [] and ib = ref [] in
-    for r = lo to hi - 1 do
-      match Hashtbl.find_opt tbl (cell_hash ka r) with
-      | None -> ()
-      | Some bucket ->
-          List.iter
-            (fun rb ->
-              if cell_eq ka r kb rb then begin
-                ia := r :: !ia;
-                ib := rb :: !ib
-              end)
-            bucket
-    done;
-    let ia = Array.of_list (List.rev !ia)
-    and ib = Array.of_list (List.rev !ib) in
+    let ia = ibuf_make (hi - lo) and ib = ibuf_make (hi - lo) in
+    (match (ka, kb) with
+    | CAtom xa, CAtom xb ->
+        for r = lo to hi - 1 do
+          let code = xa.(r) in
+          let e = ref ix.head.(slot ix (atom_hash code)) in
+          while !e >= 0 do
+            let rb = ix.row.(!e) in
+            if xb.(rb) = code then begin
+              ibuf_push ia r;
+              ibuf_push ib rb
+            end;
+            e := ix.next.(!e)
+          done
+        done
+    | _ ->
+        for r = lo to hi - 1 do
+          let h = cell_hash ka r in
+          let e = ref ix.head.(slot ix h) in
+          while !e >= 0 do
+            let rb = ix.row.(!e) in
+            if ix.hkey.(!e) = h && cell_eq ka r kb rb then begin
+              ibuf_push ia r;
+              ibuf_push ib rb
+            end;
+            e := ix.next.(!e)
+          done
+        done);
+    let ia = ibuf_contents ia and ib = ibuf_contents ib in
     {
       rows = Array.length ia;
       data =
@@ -886,75 +1002,70 @@ let union_add a b =
 (* Generic count merge over the distinct supports of both sides (diff,
    intersection, maximum union).  Matched rows take f(ca, cb); unmatched
    a-rows take f(ca, 0) and unmatched b-rows f(0, cb); zero results are
-   dropped.  Output counts go through Bignat (these kernels run on
-   post-coalesce supports, not on the hot row path). *)
-let merge_op ~f a b =
+   dropped.  [union_max] runs in every fixpoint round, so counts stay
+   machine ints through [fi] and only a spilled operand goes through the
+   exact [f] (monus, min and max of two ints never overflow). *)
+let merge_op ~fi ~f a b =
   Fault.inject alloc_site;
   if a.rows > 0 && b.rows > 0 && not (same_rep a.data b.data) then
     unsupported "merge: shape mismatch";
-  let ra, ca = distinct_rows a and rb, cb = distinct_rows b in
-  let na = Array.length ra and nb = Array.length rb in
-  let btbl : (int, int list) Hashtbl.t = Hashtbl.create ((2 * nb) + 1) in
-  for jb = 0 to nb - 1 do
-    let h = cell_hash b.data rb.(jb) in
-    let bucket = match Hashtbl.find_opt btbl h with Some l -> l | None -> [] in
-    Hashtbl.replace btbl h (jb :: bucket) (* domain-local: fresh table per call *)
-  done;
-  let matched = Array.make (max nb 1) false in
-  let keep_a = Array.make (max na 1) 0 in
-  let cnt_a = Array.make (max na 1) Bignat.zero in
-  let na' = ref 0 in
-  for j = 0 to na - 1 do
-    let i = ra.(j) in
-    let mb =
-      match Hashtbl.find_opt btbl (cell_hash a.data i) with
-      | None -> None
-      | Some bucket ->
-          List.find_opt (fun jb -> cell_eq a.data i b.data rb.(jb)) bucket
-    in
-    let cbv =
-      match mb with
-      | Some jb ->
-          matched.(jb) <- true;
-          cnt_get cb jb
-      | None -> Bignat.zero
-    in
-    let c = f (cnt_get ca j) cbv in
-    if not (Bignat.is_zero c) then begin
-      keep_a.(!na') <- i;
-      cnt_a.(!na') <- c;
-      incr na'
+  let ixa, ca = distinct_index a and ixb, cb = distinct_index b in
+  let na = ixa.len and nb = ixb.len in
+  (* f of entry [ja] of [ca] and entry [jb] of [cb] (-1: absent, count 0)
+     into slot [k]; false when the result is zero *)
+  let merge small spill k ja jb =
+    let x = if ja < 0 then 0 else ca.small.(ja)
+    and y = if jb < 0 then 0 else cb.small.(jb) in
+    if x >= 0 && y >= 0 then begin
+      let m = fi x y in
+      small.(k) <- m;
+      m <> 0
     end
-  done;
-  let keep_b = Array.make (max nb 1) 0 in
-  let cnt_b = Array.make (max nb 1) Bignat.zero in
-  let nb' = ref 0 in
-  for jb = 0 to nb - 1 do
-    if not matched.(jb) then begin
-      let c = f Bignat.zero (cnt_get cb jb) in
-      if not (Bignat.is_zero c) then begin
-        keep_b.(!nb') <- rb.(jb);
-        cnt_b.(!nb') <- c;
-        incr nb'
-      end
+    else begin
+      let big c j = if j < 0 then Bignat.zero else cnt_get c j in
+      let m = f (big ca ja) (big cb jb) in
+      set_slot small spill k m;
+      not (Bignat.is_zero m)
     end
-  done;
-  let part src keep cnt n =
-    let keep = Array.sub keep 0 n in
-    let cnts = cnt_make n in
-    for k = 0 to n - 1 do
-      cnt_set cnts k cnt.(k)
-    done;
-    { rows = n; data = gather_col src.data keep; cnts }
   in
-  let pa = part a keep_a cnt_a !na' and pb = part b keep_b cnt_b !nb' in
+  let part src n keep small spill =
+    {
+      rows = n;
+      data = gather_col src.data (Array.sub keep 0 n);
+      cnts = { small = Array.sub small 0 n; spill };
+    }
+  in
+  let matched = Array.make (max nb 1) false in
+  let keep = Array.make (max na 1) 0 and small = Array.make (max na 1) 0 in
+  let spill = Hashtbl.create 0 and n = ref 0 in
+  for ja = 0 to na - 1 do
+    let i = ixa.row.(ja) in
+    let jb = index_find ixb b.data ixa.hkey.(ja) a.data i in
+    if jb >= 0 then matched.(jb) <- true;
+    if merge small spill !n ja jb then begin
+      keep.(!n) <- i;
+      incr n
+    end
+  done;
+  let pa = part a !n keep small spill in
+  let keep = Array.make (max nb 1) 0 and small = Array.make (max nb 1) 0 in
+  let spill = Hashtbl.create 0 and n = ref 0 in
+  for jb = 0 to nb - 1 do
+    if (not matched.(jb)) && merge small spill !n (-1) jb then begin
+      keep.(!n) <- ixb.row.(jb);
+      incr n
+    end
+  done;
+  let pb = part b !n keep small spill in
   if pa.rows = 0 then pb
   else if pb.rows = 0 then pa
   else concat_vecs [ pa; pb ]
 
-let monus a b = merge_op ~f:Bignat.monus a b
-let inter a b = merge_op ~f:Bignat.min a b
-let union_max a b = merge_op ~f:Bignat.max a b
+let monus a b =
+  merge_op ~fi:(fun x y -> if x > y then x - y else 0) ~f:Bignat.monus a b
+
+let inter a b = merge_op ~fi:Int.min ~f:Bignat.min a b
+let union_max a b = merge_op ~fi:Int.max ~f:Bignat.max a b
 
 let dedup t =
   Fault.inject alloc_site;
@@ -987,32 +1098,9 @@ let nest ixs t =
         Array.of_list !acc
       in
       let n = t.rows in
-      let tbl : (int, int list) Hashtbl.t = Hashtbl.create ((2 * n) + 1) in
-      let grp = Array.make (max n 1) 0 in
-      let reps = Array.make (max n 1) 0 in
-      let ng = ref 0 in
-      let key_hash i =
-        Array.fold_left (fun h c -> mix h (cell_hash c i)) 0x811c9dc5 keycols
-        land max_int
-      in
-      let key_eq i j =
-        Array.for_all (fun c -> cell_eq c i c j) keycols
-      in
-      for i = 0 to n - 1 do
-        let h = key_hash i in
-        let bucket =
-          match Hashtbl.find_opt tbl h with Some b -> b | None -> []
-        in
-        match List.find_opt (fun g -> key_eq reps.(g) i) bucket with
-        | Some g -> grp.(i) <- g
-        | None ->
-            let g = !ng in
-            incr ng;
-            reps.(g) <- i;
-            grp.(i) <- g;
-            Hashtbl.replace tbl h (g :: bucket) (* domain-local: fresh table per call *)
-      done;
-      let ng = !ng in
+      let ix = index_create n in
+      let grp = Array.init n (index_group ix (CTuple keycols)) in
+      let ng = ix.len in
       let sizes = Array.make (max ng 1) 0 in
       for i = 0 to n - 1 do
         sizes.(grp.(i)) <- sizes.(grp.(i)) + 1
@@ -1049,7 +1137,7 @@ let nest ixs t =
       Array.iteri (fun g (len, _, _) -> off.(g + 1) <- off.(g) + len) segs;
       let elems = concat_cols (Array.to_list (Array.map (fun (_, c, _) -> c) segs)) in
       let ecnt = concat_counts (Array.to_list (Array.map (fun (_, _, c) -> c) segs)) in
-      let gidx = Array.sub reps 0 ng in
+      let gidx = Array.sub ix.row 0 ng in
       {
         rows = ng;
         data =

@@ -88,11 +88,14 @@ val product : ?pool:Pool.t -> t -> t -> t
 
 val join : ?pool:Pool.t -> int -> int -> t -> t -> t
 (** [join i j a b] is the keyed equijoin σ_{i = ka+j}(a × b) as one hash
-    join: [b]'s rows are bucketed by their [j]-th cell, [a]'s rows probe,
-    and only matching pairs are materialised.  [to_value] of the result is
+    join: every row of [b] goes into a flat int-array hash index keyed by
+    its [j]-th cell (slot heads, next links and the stored cell hash per
+    entry — no bucket lists), [a]'s rows probe it comparing the stored
+    hash before the cell (atom keys compare codes directly), and only
+    matching pairs are materialised.  [to_value] of the result is
     bit-identical to the unfused product-then-select plan.  With [?pool],
-    contiguous probe ranges run across domains against the shared
-    read-only table. *)
+    contiguous probe ranges run across domains against the shared index,
+    which is read-only once built. *)
 
 val map_scalar : scalar -> t -> t
 val select_scalar : ?pool:Pool.t -> scalar -> scalar -> t -> t
@@ -107,7 +110,11 @@ val dedup : t -> t
 
 val coalesce : t -> t
 (** Merge duplicate rows, summing counts; rows come out in first-seen
-    order (canonical order is restored by {!to_value}). *)
+    order (canonical order is restored by {!to_value}).  Rows are grouped
+    through the same flat hash index as {!join}'s build side, one entry
+    per distinct row; counts are summed as machine ints and spill to
+    {!Bignat} only past [max_int].  {!dedup}, {!to_value}, the merge
+    family and {!nest} group the same way. *)
 
 val nest : int list -> t -> t
 (** Group by the listed 1-based attributes into a canonical segmented bag

@@ -104,6 +104,16 @@ if [ -n "$bad" ]; then
   fail=1
 fi
 
+# one grouping index: the grouping kernels of lib/core/vec.ml (dedup,
+# coalesce, join, the merge family, nest) share its flat int-array hash
+# index; a boxed bucket table of row lists must not come back beside it.
+bad=$(grep -n 'int list) Hashtbl\.t' lib/core/vec.ml || true)
+if [ -n "$bad" ]; then
+  echo "lint: lib/core/vec.ml groups rows through its hash index, not an (int, int list) Hashtbl.t:"
+  echo "$bad" | sed 's/^/  /'
+  fail=1
+fi
+
 # rewrite coverage: every named rule in the rewriter and the optimizer
 # must be exercised by a differential/witness test — a rule whose
 # 'applies' never fires under test is an unsound-rewrite time bomb.  A

@@ -300,6 +300,59 @@ let prop_budget_verdicts =
           | Error _, _ | _, Error _ -> true)
         (List.init 8 Fun.id))
 
+(* --- binder environments ---------------------------------------------------- *)
+
+(* The planner types every node under the binders in scope.  It used to
+   keep the outer environment under [let]/[fix]/[map]/[select], so a [let]
+   shadowing R left join-extract reading R's outer arity (2, not 4): the
+   first query then built join[5,2] and failed to project attribute 3 of
+   an S row, the second built a wrong join[1,2]. *)
+let shadow_inst =
+  let pair a b = Value.tuple [ Value.atom a; Value.atom b ] in
+  [
+    ("R", Value.bag_of_list [ pair "a" "b"; pair "b" "c" ]);
+    ("S", Value.bag_of_list [ pair "b" "a"; pair "c" "b" ]);
+  ]
+
+let shadow_tenv =
+  Typecheck.env_of_list [ ("R", Ty.relation 2); ("S", Ty.relation 2) ]
+
+let test_shadowed_let text () =
+  let q = Baglang.Parser.expr_of_string text in
+  List.iter
+    (fun engine ->
+      let plan = Opt.prepare ~vals:shadow_inst ~engine Opt.Cost shadow_tenv q in
+      let run e = Veval.run_engine engine (Eval.env_of_list shadow_inst) e in
+      match (run q, run plan) with
+      | Ok v, Ok w ->
+          Alcotest.(check bool) "off returns two or more rows" true
+            (List.length (Value.as_bag v) >= 2);
+          Alcotest.check value (Expr.to_string plan ^ " matches off") v w
+      | _ -> Alcotest.fail "unexpected verdict"
+      | exception Eval.Eval_error m ->
+          Alcotest.failf "%s fails: %s" (Expr.to_string plan) m)
+    [ Veval.Tree; Veval.Vec ]
+
+(* Fixpoint variables are typed at the seed's type, so join extraction
+   now reaches into closure bodies: the read_cold closure joins X with
+   G0 instead of materialising X * G0 every round. *)
+let test_join_inside_fix () =
+  let q =
+    Baglang.Parser.expr_of_string
+      "select(x -> x.1 == 'n3, fix(X -> dedup(pi[1,4](select(p -> p.2 == \
+       p.3, X * G0)) \\/ X), dedup(G0)))"
+  in
+  let tenv = Typecheck.env_of_list [ ("G0", Ty.relation 2) ] in
+  let plan = Opt.prepare ~engine:Veval.Vec Opt.Cost tenv q in
+  let rec has e =
+    match e with
+    | Expr.Join (2, 1, Expr.Var "X", Expr.Var "G0") -> true
+    | _ -> List.exists has (Expr.children e)
+  in
+  Alcotest.(check bool)
+    ("closure plan contains join[2,1](X, G0): " ^ Expr.to_string plan)
+    true (has plan)
+
 (* --- the opt.rewrite fault site -------------------------------------------- *)
 
 let test_fault_degrades_gracefully () =
@@ -364,6 +417,17 @@ let () =
           Alcotest.test_case "mode parsing" `Quick test_mode_parsing;
           Alcotest.test_case "calibration changes plans, not results" `Quick
             test_calibration_changes_plan_not_results;
+        ] );
+      ( "binders",
+        [
+          Alcotest.test_case "shadowing let: join across R and S" `Quick
+            (test_shadowed_let
+               "let R = R * S in select(p -> p.4 == p.5, R * S)");
+          Alcotest.test_case "shadowing let: join key inside R" `Quick
+            (test_shadowed_let
+               "let R = R * S in select(p -> p.1 == p.4, R * S)");
+          Alcotest.test_case "join extracted inside fix" `Quick
+            test_join_inside_fix;
         ] );
       ( "differential",
         [

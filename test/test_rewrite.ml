@@ -31,6 +31,7 @@ let equivalent_set ?(trials = 25) rng e1 e2 =
 
 let norm e = fst (Rewrite.normalize tenv e)
 
+let value_t = Alcotest.testable Value.pp Value.equal
 let expr_eq = Alcotest.testable Expr.pp (fun a b -> Stdlib.compare a b = 0)
 
 let test_units () =
@@ -191,6 +192,34 @@ let test_pushdown_shadowing () =
   Alcotest.(check bool) "pushed form equivalent on random instances" true
     (equivalent_bag rng q pushed)
 
+(* normalize types a [let] body with the bound expression's type.  It used
+   to keep the outer one, so select-pushdown read R's outer arity (2) under
+   [let R = R * S] and pushed [p.4 == p.5] — which straddles R and S —
+   into S as [p.2 == p.3], where attribute 3 does not exist. *)
+let test_normalize_shadowing_let () =
+  let pair a b = Value.tuple [ Value.atom a; Value.atom b ] in
+  let inst =
+    [
+      ("R", Value.bag_of_list [ pair "a" "b"; pair "b" "c" ]);
+      ("S", Value.bag_of_list [ pair "b" "a"; pair "c" "b" ]);
+    ]
+  in
+  let tenv = Typecheck.env_of_list [ ("R", Ty.relation 2); ("S", Ty.relation 2) ] in
+  List.iter
+    (fun text ->
+      let q = Baglang.Parser.expr_of_string text in
+      let q', _ = Rewrite.normalize tenv q in
+      match Eval.run (Eval.env_of_list inst) q' with
+      | Ok v -> Alcotest.check value_t text (eval_on inst q) v
+      | Error _ -> Alcotest.failf "%s: normal form hit a verdict" text
+      | exception Eval.Eval_error m ->
+          Alcotest.failf "%s: normal form %s fails: %s" text
+            (Expr.to_string q') m)
+    [
+      "let R = R * S in select(p -> p.4 == p.5, R * S)";
+      "let R = R * S in select(p -> p.1 == p.4, R * S)";
+    ]
+
 (* --- randomized soundness -------------------------------------------------- *)
 
 let prop_normalize_sound =
@@ -289,6 +318,8 @@ let () =
             test_map_fusion_capture;
           Alcotest.test_case "pushdown through shadowing binders" `Quick
             test_pushdown_shadowing;
+          Alcotest.test_case "normalize types let bodies" `Quick
+            test_normalize_shadowing_let;
         ] );
       ( "soundness",
         [

@@ -247,6 +247,116 @@ let test_plan_labels () =
       Alcotest.(check bool) "rendering mentions engines" true
         (String.length s > 0)
 
+(* --- kernels against Bag, directly ----------------------------------------
+
+   Each Vec kernel, run through [to_value], must equal its Bag counterpart
+   bit for bit (hash tags included) on operands the generated queries above
+   never build: hundreds of rows over two or three keys (long index chains),
+   thousands of distinct rows (indexes that outgrow their first size),
+   empty operands, nested-bag key columns, and multiplicities beyond
+   [max_int] (the spill side of the int-count paths).  [join] is the one
+   kernel here that takes a pool; it runs with and without the test pool. *)
+
+let tup = Value.tuple
+let at = Value.atom
+
+(* [n] rows <key, x, y> over [keys] keys and [vals] values, counts in
+   1..3. *)
+let rows rng ~keys ~vals n =
+  let cell k = at (Printf.sprintf "v%d" (Random.State.int rng k)) in
+  Value.bag_of_assoc
+    (List.init n (fun _ ->
+         ( tup [ cell keys; cell vals; cell vals ],
+           Bignat.of_int (1 + Random.State.int rng 3) )))
+
+(* Counts at and beyond [max_int] on a few rows <key, x>. *)
+let huge_counts rng =
+  let big =
+    [|
+      Bignat.of_int max_int;
+      Bignat.of_int (max_int - 1);
+      Bignat.pow2 70;
+      Bignat.one;
+      Bignat.of_int 3;
+    |]
+  in
+  Value.bag_of_assoc
+    (List.init 12 (fun i ->
+         ( tup
+             [
+               at (Printf.sprintf "k%d" (i mod 3));
+               at (Printf.sprintf "x%d" (Random.State.int rng 4));
+             ],
+           big.(Random.State.int rng (Array.length big)) )))
+
+let nested_keys rng =
+  G.of_type rng ~n_atoms:2 ~width:40 ~max_count:2
+    (Ty.Bag (Ty.Tuple [ Ty.Bag (Ty.Tuple [ Ty.Atom ]); Ty.Atom ]))
+
+(* A value and its columns; [emptied] keeps the column shape with no rows,
+   as a selection that matches nothing leaves it mid-plan. *)
+let operand v = (v, Vec.of_value v)
+
+let emptied (v, x) =
+  ( Bag.select (fun _ -> false) v,
+    Vec.select_scalar (Vec.SField (1, Vec.SRow)) (Vec.SConst (at "absent")) x )
+
+let kernel_cases rng =
+  let pair name a b = (name, operand a, operand b) in
+  let fk = rows rng ~keys:2 ~vals:12 300 and fk' = rows rng ~keys:3 ~vals:12 200 in
+  [
+    pair "few keys" fk fk';
+    (* past the index's first 1024 entries: every grouping kernel resizes *)
+    pair "thousands of distinct rows"
+      (rows rng ~keys:2000 ~vals:2000 2500)
+      (rows rng ~keys:2000 ~vals:2000 2000);
+    ("empty left", emptied (operand fk), operand fk');
+    ("empty right", operand fk, emptied (operand fk'));
+    ("both empty", emptied (operand fk), emptied (operand fk'));
+    pair "nested-bag keys" (nested_keys rng) (nested_keys rng);
+    pair "counts beyond max_int" (huge_counts rng) (huge_counts rng);
+  ]
+
+let same_value what expected x =
+  let v = Vec.to_value x in
+  Alcotest.check value what expected v;
+  Alcotest.(check int) (what ^ ": hash") (Value.hash expected) (Value.hash v)
+
+let test_kernels_against_bag () =
+  with_test_pool (fun p ->
+      List.iter
+        (fun seed ->
+          let rng = Random.State.make [| 1009 + seed |] in
+          List.iter
+            (fun (name, (va, xa), (vb, xb)) ->
+              let lbl k = Printf.sprintf "%s, seed %d: %s" name seed k in
+              List.iter
+                (fun (i, j) ->
+                  let expected = Bag.join_eq i j va vb in
+                  same_value (lbl (Printf.sprintf "join %d %d" i j)) expected
+                    (Vec.join i j xa xb);
+                  same_value (lbl (Printf.sprintf "pooled join %d %d" i j))
+                    expected (Vec.join ~pool:p i j xa xb))
+                [ (1, 1); (2, 2); (1, 2) ];
+              let dup = Vec.union_add xa xa and vdup = Bag.union_add va va in
+              let key1 = Vec.map_scalar (Vec.SRecord [ Vec.SField (1, Vec.SRow) ]) in
+              same_value (lbl "dedup") (Bag.dedup vdup) (Vec.dedup dup);
+              same_value (lbl "dedup of keys") (Bag.dedup (Bag.proj [ 1 ] va))
+                (Vec.dedup (key1 xa));
+              same_value (lbl "coalesce") vdup (Vec.coalesce dup);
+              same_value (lbl "coalesce of keys") (Bag.proj [ 1 ] va)
+                (Vec.coalesce (key1 xa));
+              same_value (lbl "union_max") (Bag.union_max va vb)
+                (Vec.union_max xa xb);
+              same_value (lbl "monus") (Bag.diff va vb) (Vec.monus xa xb);
+              same_value (lbl "monus (reversed)") (Bag.diff vb va)
+                (Vec.monus xb xa);
+              same_value (lbl "inter") (Bag.inter va vb) (Vec.inter xa xb);
+              same_value (lbl "nest") (Bag.nest [ 1 ] vdup) (Vec.nest [ 1 ] dup);
+              same_value (lbl "nest 2") (Bag.nest [ 2 ] va) (Vec.nest [ 2 ] xa))
+            (kernel_cases rng))
+        (List.init 4 Fun.id))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -269,5 +379,7 @@ let () =
             test_pool_chunks_identical;
           Alcotest.test_case "steps == fuel" `Quick test_steps_equal_fuel;
           Alcotest.test_case "plan labels" `Quick test_plan_labels;
+          Alcotest.test_case "kernels == Bag on long chains and spills"
+            `Quick test_kernels_against_bag;
         ] );
     ]
