@@ -433,22 +433,16 @@ let run_repl db_path opts =
    failed eval dominates an exhausted one). *)
 
 let classify_reply reply =
-  if String.length reply >= 4 && String.equal (String.sub reply 0 4) "err " then
-    `Err
-  else if
-    String.length reply >= 8 && String.equal (String.sub reply 0 8) "verdict "
-  then `Verdict
+  if String.starts_with ~prefix:"err " reply then `Err
+  else if String.starts_with ~prefix:"verdict " reply then `Verdict
   else `Ok
 
 (* A reply worth retrying during a failover window: a follower that is
    not yet promoted answers [err readonly], an overloaded server answers
    [err busy] — both are transient in a way [err type] never is. *)
 let retryable_reply reply =
-  let has p =
-    String.length reply >= String.length p
-    && String.equal (String.sub reply 0 (String.length p)) p
-  in
-  has "err readonly" || has "err busy"
+  String.starts_with ~prefix:"err readonly" reply
+  || String.starts_with ~prefix:"err busy" reply
 
 let run_client host port cmds http_path retries timeout =
   match http_path with

@@ -397,22 +397,16 @@ and compile_node reg ~att volatile e : compiled =
   (* Generalized projection MAP λx.<α_{i1}(x), ...> runs as the direct
      {!Bag.proj} kernel; on malformed data ([Invalid_argument]) the generic
      closure replays the bag so error behaviour is unchanged. *)
-  | Expr.Map (x, (Expr.Tuple comps as body), e)
-    when List.for_all
-           (function Expr.Proj (_, Expr.Var y) -> y = x | _ -> false)
-           comps ->
-      let ixs =
-        List.map (function Expr.Proj (i, _) -> i | _ -> assert false) comps
-      in
-      let cbody = under x body and c = sub e in
-      fun st env ->
-        let b = c st env in
-        (try Bag.proj ?pool:st.pool ixs b
-         with Invalid_argument _ ->
-           Bag.map (fun v -> cbody st (Env.add x v env)) b)
-  | Expr.Map (x, body, e) ->
-      let cbody = under x body and c = sub e in
-      fun st env -> Bag.map (fun v -> cbody st (Env.add x v env)) (c st env)
+  | Expr.Map (x, body, e0) -> (
+      let cbody = under x body and c = sub e0 in
+      let generic st env b = Bag.map (fun v -> cbody st (Env.add x v env)) b in
+      match Expr.as_proj e with
+      | Some (ixs, _) ->
+          fun st env ->
+            let b = c st env in
+            (try Bag.proj ?pool:st.pool ixs b
+             with Invalid_argument _ -> generic st env b)
+      | None -> fun st env -> generic st env (c st env))
   (* σ_{i=j}: positional-equality selection runs as {!Bag.select_eq}, with
      the same generic fallback on malformed data. *)
   | Expr.Select

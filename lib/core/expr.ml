@@ -82,6 +82,18 @@ let proj_attrs ixs e =
   let x = "%pi" in
   Map (x, Tuple (List.map (fun i -> Proj (i, Var x)) ixs), e)
 
+(** [as_proj e] inverts {!proj_attrs}: [Some (ixs, src)] when [e] is a MAP
+    whose body is the tuple [<x.i1, ..., x.in>] of its own variable. *)
+let as_proj = function
+  | Map (x, Tuple es, src) ->
+      let rec collect acc = function
+        | [] -> Some (List.rev acc, src)
+        | Proj (i, Var y) :: rest when String.equal y x -> collect (i :: acc) rest
+        | _ -> None
+      in
+      collect [] es
+  | _ -> None
+
 (** [ones e] is [MAP{_λx.<a>}(e)]: a bag of [card e] copies of the unary
     tuple [<a>] — the integer-as-bag image of the cardinality of [e]. *)
 let ones ?(on = "a") e =

@@ -70,6 +70,10 @@ val bfix : t -> var -> t -> t -> t
 val proj_attrs : int list -> t -> t
 (** Generalized projection [π{_i1..in}] as a MAP; indices may repeat. *)
 
+val as_proj : t -> (int list * t) option
+(** The inverse of {!proj_attrs}, whatever the bound variable's name:
+    [Some (ixs, e)] for [MAP{_λx.<α_i1 x, ..., α_in x>}(e)]. *)
+
 val ones : ?on:string -> t -> t
 (** [MAP{_λx.<a>}(e)]: the cardinality of [e] as an integer-bag. *)
 

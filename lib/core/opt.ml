@@ -15,10 +15,10 @@
       cardinality-shaped [MAP]s skip their inner restructuring
       ([ones-pushdown], sound because MAP preserves total cardinality).
 
-    In [Cost] mode every candidate rewrite is gated by a cost model over
-    {!Props} estimates with per-engine kernel constants (the vectorized
-    kernels of {!Vec} are charged less than the boxed tree walk); [Off]
-    is the identity.  Every decision — applied or rejected — is recorded
+    In [Cost] mode every candidate rewrite {!Rewrite.drive} proposes is
+    gated by a cost model over {!Props} estimates with per-engine kernel
+    constants (the vectorized kernels of {!Vec} are charged less than the
+    boxed tree walk); [Off] is the identity.  Every decision — applied or rejected — is recorded
     with both cost figures so [balgi explain] can show the chosen plan
     next to the roads not taken.
 
@@ -62,87 +62,66 @@ let m_rejected =
 
 (* --- cost model ------------------------------------------------------------ *)
 
-(* Per-row kernel constants: work the columnar engine does in flat array
-   sweeps is cheaper than the boxed tree walk; shapes the vec engine
-   cannot vectorize (general binder bodies) fall back to tree cost on
-   either engine. *)
-let kernel_constant engine ~vectorizable =
-  match engine with
-  | Veval.Vec when vectorizable -> 0.35
-  | Veval.Vec | Veval.Tree -> 1.0
-
-(* The per-row scalar fragment Vec can run column-wise: projections of
-   the row variable, closed constants, tuple construction. *)
-let rec scalar_shape x e =
-  match e with
-  | Expr.Var y -> String.equal x y
-  | Expr.Proj (_, e0) -> scalar_shape x e0
-  | Expr.Tuple es -> List.for_all (scalar_shape x) es
-  | Expr.Lit _ -> true
-  | _ -> not (Expr.Vars.mem x (Expr.free_vars e)) && Expr.size e <= 3
-
 let clamp_rows r = float_of_int (min r 1_000_000_000)
 
+(* [k] is the per-row kernel constant: work the columnar engine does in
+   flat array sweeps is cheaper than the boxed tree walk.  A map/select
+   body gets it exactly when {!Veval.vectorizes} says the engine runs it
+   column-wise; any other body is walked per row on either engine, under
+   {!Rewrite.body_env} — the environment the planner typed it in, so a
+   bound variable costs the same here as in the decision that rewrote
+   around it. *)
 let cost ?(vals = []) engine tenv e =
-  let k ~vectorizable = kernel_constant engine ~vectorizable in
-  let fr e = clamp_rows (Props.infer ~vals tenv e).Props.rows in
-  let rec go e =
+  let k = match engine with Veval.Vec -> 0.35 | Veval.Tree -> 1.0 in
+  let fr env e = clamp_rows (Props.infer ~vals env e).Props.rows in
+  let rec go env e =
     match e with
     | Expr.Var _ | Expr.Lit _ -> 0.0
-    | Expr.Tuple es -> List.fold_left (fun a c -> a +. go c) 1.0 es
-    | Expr.Proj (_, e0) | Expr.Sing e0 -> 1.0 +. go e0
+    | Expr.Tuple es -> List.fold_left (fun a c -> a +. go env c) 1.0 es
+    | Expr.Proj (_, e0) | Expr.Sing e0 -> 1.0 +. go env e0
     | Expr.UnionAdd (a, b)
     | Expr.Diff (a, b)
     | Expr.UnionMax (a, b)
     | Expr.Inter (a, b) ->
-        go a +. go b +. (k ~vectorizable:true *. (fr a +. fr b))
+        go env a +. go env b +. (k *. (fr env a +. fr env b))
     | Expr.Product (a, b) ->
         (* materialises the full cross product *)
-        go a +. go b +. (k ~vectorizable:true *. (fr a *. fr b))
+        go env a +. go env b +. (k *. (fr env a *. fr env b))
     | Expr.Join (_, _, a, b) ->
         (* build + probe + emit only the matches *)
-        go a +. go b +. (k ~vectorizable:true *. (fr a +. fr b +. fr e))
-    | Expr.Powerset e0 | Expr.Powerbag e0 -> go e0 +. fr e
-    | Expr.Destroy e0 -> go e0 +. (k ~vectorizable:true *. fr e)
+        go env a +. go env b +. (k *. (fr env a +. fr env b +. fr env e))
+    | Expr.Powerset e0 | Expr.Powerbag e0 -> go env e0 +. fr env e
+    | Expr.Destroy e0 -> go env e0 +. (k *. fr env e)
     | Expr.Map (x, body, e0) ->
         let per_row =
-          if scalar_shape x body then k ~vectorizable:true
-          else 1.0 +. go body
+          if Veval.vectorizes x body then k
+          else 1.0 +. go (Rewrite.body_env env e) body
         in
-        go e0 +. (fr e0 *. per_row)
+        go env e0 +. (fr env e0 *. per_row)
     | Expr.Select (x, l, r, e0) ->
         let per_row =
-          if scalar_shape x l && scalar_shape x r then k ~vectorizable:true
-          else 1.0 +. go l +. go r
+          if Veval.vectorizes x l && Veval.vectorizes x r then k
+          else
+            let env' = Rewrite.body_env env e in
+            1.0 +. go env' l +. go env' r
         in
-        go e0 +. (fr e0 *. per_row)
-    | Expr.Dedup e0 -> go e0 +. (k ~vectorizable:true *. fr e0)
+        go env e0 +. (fr env e0 *. per_row)
+    | Expr.Dedup e0 -> go env e0 +. (k *. fr env e0)
     | Expr.Nest (_, e0) ->
         (* grouping builds and canonicalises segment columns — several
            sweeps over the input, not one *)
-        go e0 +. (3.0 *. k ~vectorizable:true *. fr e0)
-    | Expr.Unnest (_, e0) -> go e0 +. (k ~vectorizable:true *. fr e)
-    | Expr.Let (_, e0, body) -> go e0 +. go body
-    | Expr.Fix (_, body, seed) -> go seed +. (8.0 *. (1.0 +. go body))
+        go env e0 +. (3.0 *. k *. fr env e0)
+    | Expr.Unnest (_, e0) -> go env e0 +. (k *. fr env e)
+    | Expr.Let (_, e0, body) -> go env e0 +. go (Rewrite.body_env env e) body
+    | Expr.Fix (_, body, seed) ->
+        go env seed +. (8.0 *. (1.0 +. go (Rewrite.body_env env e) body))
     | Expr.BFix (b, _, body, seed) ->
-        go b +. go seed +. (8.0 *. (1.0 +. go body))
+        go env b +. go env seed
+        +. (8.0 *. (1.0 +. go (Rewrite.body_env env e) body))
   in
-  go e
+  go tenv e
 
 (* --- the rewrite families -------------------------------------------------- *)
-
-(* [Some ixs] when [body] is the projection tuple <x.i1, ..., x.in>. *)
-let proj_body x body =
-  match body with
-  | Expr.Tuple es ->
-      let rec collect acc = function
-        | [] -> Some (List.rev acc)
-        | Expr.Proj (i, Expr.Var y) :: rest when String.equal y x ->
-            collect (i :: acc) rest
-        | _ -> None
-      in
-      collect [] es
-  | _ -> None
 
 (* π over × splits when the projected columns partition left-before-right:
    multiplicities factor through the product, so projecting each side
@@ -153,11 +132,11 @@ let rule_prune_map_product =
   {
     Rewrite.name = "prune-map-product";
     applies =
-      (fun env -> function
-        | Expr.Map (x, body, Expr.Product (a, b)) -> (
-            match (proj_body x body, Rewrite.arity_of env a, Rewrite.arity_of env b)
-            with
-            | Some ixs, Some ka, Some kb
+      (fun env e ->
+        match Expr.as_proj e with
+        | Some (ixs, Expr.Product (a, b)) -> (
+            match (Rewrite.arity_of env a, Rewrite.arity_of env b) with
+            | Some ka, Some kb
               when List.for_all (fun i -> i >= 1 && i <= ka + kb) ixs ->
                 let rec split acc = function
                   | i :: rest when i <= ka -> split (i :: acc) rest
@@ -186,25 +165,23 @@ let rule_prune_nest_keys =
   {
     Rewrite.name = "prune-nest-keys";
     applies =
-      (fun _env -> function
-        | Expr.Map (x, body, Expr.Nest (ixs, e0)) -> (
-            match proj_body x body with
-            | Some ps ->
-                let nkeys = List.length ixs in
-                if
-                  ps <> []
-                  && List.for_all (fun p -> p >= 1 && p <= nkeys) ps
-                  && List.for_all
-                       (fun q -> List.mem q ps)
-                       (List.init nkeys (fun i -> i + 1))
-                then
-                  Some
-                    (Expr.Dedup
-                       (Expr.proj_attrs
-                          (List.map (fun p -> List.nth ixs (p - 1)) ps)
-                          e0))
-                else None
-            | None -> None)
+      (fun _env e ->
+        match Expr.as_proj e with
+        | Some (ps, Expr.Nest (ixs, e0)) ->
+            let nkeys = List.length ixs in
+            if
+              ps <> []
+              && List.for_all (fun p -> p >= 1 && p <= nkeys) ps
+              && List.for_all
+                   (fun q -> List.mem q ps)
+                   (List.init nkeys (fun i -> i + 1))
+            then
+              Some
+                (Expr.Dedup
+                   (Expr.proj_attrs
+                      (List.map (fun p -> List.nth ixs (p - 1)) ps)
+                      e0))
+            else None
         | _ -> None);
   }
 
@@ -244,9 +221,9 @@ let rule_select_through_proj =
     Rewrite.name = "select-through-proj";
     applies =
       (fun _env -> function
-        | Expr.Select (x, l, r, Expr.Map (y, body, e0)) -> (
-            match proj_body y body with
-            | Some ps ->
+        | Expr.Select (x, l, r, (Expr.Map (y, body, e0) as m)) -> (
+            match Expr.as_proj m with
+            | Some (ps, _) ->
                 let np = List.length ps in
                 let translate op =
                   match op with
@@ -311,8 +288,19 @@ type report = {
   r_faulted : bool;
 }
 
-let max_passes = 8
 let max_decisions = 200
+
+(* The AC orientation rules are cost-symmetric, so cost mode could never
+   accept them; {!Rewrite.normalize} keeps them to put AC operands in
+   canonical order. *)
+let cost_rules =
+  List.filter
+    (fun r ->
+      not
+        (List.memq r
+           Rewrite.[ rule_comm_unionadd; rule_comm_unionmax; rule_comm_inter ]))
+    Rewrite.sound_rules
+  @ rules
 
 let optimize ?(vals = []) ?(engine = Veval.Tree) mode tenv e0 =
   if Obs.on () then Obs.emit Obs.B ~cat:"opt" ~name:"optimize" ~args:[ ("size", Obs.Int (Expr.size e0)); ("mode", Obs.Str (mode_to_string mode)) ];
@@ -323,69 +311,33 @@ let optimize ?(vals = []) ?(engine = Veval.Tree) mode tenv e0 =
       incr ndec
     end
   in
-  let accept cb ca = if !invert_cost then ca > cb else ca < cb in
-  let all_rules = Rewrite.sound_rules @ rules in
-  let changed_in_pass = ref false in
-  let try_node tenv e =
-    let rec fire e fuel =
-      if fuel = 0 || !faulted then e
-      else
-        let chosen =
-          List.fold_left
-            (fun acc r ->
-              match acc with
-              | Some _ -> acc
-              | None -> (
-                  if !faulted then None
-                  else
-                    match r.Rewrite.applies tenv e with
-                    | Some e' when Rewrite.expr_compare e' e <> 0 ->
-                        if Fault.fire rewrite_site then begin
-                          (* degrade: ship the plan as it stands *)
-                          faulted := true;
-                          None
-                        end
-                        else begin
-                          let cb = cost ~vals engine tenv e
-                          and ca = cost ~vals engine tenv e' in
-                          let ok = accept cb ca in
-                          record
-                            {
-                              d_rule = r.Rewrite.name;
-                              d_before = e;
-                              d_after = e';
-                              d_cost_before = cb;
-                              d_cost_after = ca;
-                              d_accepted = ok;
-                            };
-                          Metrics.incr (if ok then m_applied else m_rejected);
-                          if ok then Some e' else None
-                        end
-                    | _ -> None))
-            None all_rules
-        in
-        match chosen with
-        | Some e' ->
-            changed_in_pass := true;
-            if Obs.on () then Obs.emit Obs.I ~cat:"opt" ~name:"rewrite" ~args:[ ("size", Obs.Int (Expr.size e')) ];
-            fire e' (fuel - 1)
-        | None -> e
-    in
-    fire e 16
-  in
-  let rec bottom_up tenv e =
-    if !faulted then e
-    else try_node tenv (Rewrite.map_children_env bottom_up tenv e)
-  in
-  let rec passes n e =
-    if n = 0 || !faulted then e
+  let accept tenv rule e e' =
+    if Fault.fire rewrite_site then begin
+      (* degrade: ship the plan as it stands *)
+      faulted := true;
+      Rewrite.Stop
+    end
     else begin
-      changed_in_pass := false;
-      let e' = bottom_up tenv e in
-      if !changed_in_pass then passes (n - 1) e' else e'
+      let cb = cost ~vals engine tenv e and ca = cost ~vals engine tenv e' in
+      let ok = if !invert_cost then ca > cb else ca < cb in
+      record
+        {
+          d_rule = rule;
+          d_before = e;
+          d_after = e';
+          d_cost_before = cb;
+          d_cost_after = ca;
+          d_accepted = ok;
+        };
+      Metrics.incr (if ok then m_applied else m_rejected);
+      if ok then Rewrite.Accept else Rewrite.Reject
     end
   in
-  let output = match mode with Off -> e0 | Cost -> passes max_passes e0 in
+  let output =
+    match mode with
+    | Off -> e0
+    | Cost -> fst (Rewrite.drive ~accept cost_rules tenv e0)
+  in
   let report =
     {
       r_mode = mode;

@@ -5,8 +5,10 @@
     through [MAP]/π/[nest], extraction of keyed hash joins
     ({!Expr.Join}) from selection-over-product shapes, and
     selection/aggregate pushdown through [MAP] — run together with the
-    sound laws of {!Rewrite}.  In {!Cost} mode each candidate is gated by
-    a cost model over {!Props} estimates with per-engine kernel
+    sound laws of {!Rewrite} (less the cost-symmetric AC orientation
+    rules, which no cost comparison could accept).  In {!Cost} mode
+    {!Rewrite.drive} walks the plan and each candidate it proposes is
+    gated by a cost model over {!Props} estimates with per-engine kernel
     constants; {!Off} is the identity.  Optimised plans are bit-identical
     to the originals on both engines (property-tested in
     [test/test_opt.ml]).
@@ -37,7 +39,11 @@ val rules : Rewrite.rule list
 val cost : ?vals:(string * Value.t) list -> Veval.engine -> Typecheck.env -> Expr.t -> float
 (** Estimated execution cost: per-node kernel work charged against
     {!Props} row estimates, with cheaper constants for shapes the
-    vectorized engine runs as flat-array kernels.  Row estimates consult
+    vectorized engine runs as flat-array kernels (a map/select body is
+    one exactly when {!Veval.vectorizes} holds).  Binder bodies are
+    costed under {!Rewrite.body_env}, the environment the planner typed
+    them in, so a bound variable costs the same in a decision as in the
+    report's input and output lines.  Row estimates consult
     the ambient {!Calib.current} correction factors (fed by
     [explain --analyze] via [BALG_CALIB]), so a measured calibration
     shifts costs — and possibly plan choices — while every candidate
@@ -71,8 +77,9 @@ val optimize :
   Typecheck.env ->
   Expr.t ->
   Expr.t * report
-(** Rewrite to a (bounded) fixpoint, recording every accepted and
-    rejected candidate.  [vals] feeds actual relation contents to the
+(** {!Rewrite.drive} with a cost-gated acceptance step: rewrite to a
+    (bounded) fixpoint, recording every accepted and rejected candidate
+    (the first 200).  [vals] feeds actual relation contents to the
     property inference for exact leaf cardinalities. *)
 
 val prepare :

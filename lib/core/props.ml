@@ -46,12 +46,6 @@ let sat_pow2 n = if n >= 62 then max_int else 1 lsl n
    the cost model treat whole subplans as free. *)
 let shrink n d = max 1 (n / d)
 
-let arity_of tenv e =
-  match Typecheck.infer tenv e with
-  | Ty.Bag (Ty.Tuple ts) -> Some (List.length ts)
-  | _ -> None
-  | exception Typecheck.Type_error _ -> None
-
 (* Polyab tracks literal bags concretely, entry by entry — fine for the
    small relations of the paper's examples, quadratic blowup on the
    multi-hundred-row bench literals.  The abstraction only pays for
@@ -367,7 +361,7 @@ let infer ?(vals = []) ?calib (tenv : Typecheck.env) e =
     apply_calib calib e p
   in
   let p = go Env.empty e in
-  let arity = match p.arity with Some _ as a -> a | None -> arity_of tenv e in
+  let arity = match p.arity with Some _ as a -> a | None -> Rewrite.arity_of tenv e in
   (* Refine with the paper-native bound where the fragment applies: the
      polynomial evaluated at the input's cardinality bounds the output
      cardinality, hence the support. *)

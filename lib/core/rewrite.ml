@@ -123,20 +123,24 @@ let elem_ty env e =
   | Ty.Bag t -> t
   | _ -> raise (Typecheck.Type_error "binder over a non-bag")
 
+let body_env env e =
+  match e with
+  | Expr.Map (x, _, src) | Expr.Select (x, _, _, src) -> bind env x elem_ty src
+  | Expr.Let (x, bound, _) -> bind env x Typecheck.infer bound
+  | Expr.Fix (x, _, seed) | Expr.BFix (_, x, _, seed) ->
+      bind env x Typecheck.infer seed
+  | _ -> env
+
 let map_children_env f env e =
   match e with
-  | Expr.Map (x, body, src) ->
-      Expr.Map (x, f (bind env x elem_ty src) body, f env src)
+  | Expr.Map (x, body, src) -> Expr.Map (x, f (body_env env e) body, f env src)
   | Expr.Select (x, l, r, src) ->
-      let env' = bind env x elem_ty src in
+      let env' = body_env env e in
       Expr.Select (x, f env' l, f env' r, f env src)
-  | Expr.Let (x, bound, body) ->
-      Expr.Let (x, f env bound, f (bind env x Typecheck.infer bound) body)
-  | Expr.Fix (x, body, seed) ->
-      Expr.Fix (x, f (bind env x Typecheck.infer seed) body, f env seed)
+  | Expr.Let (x, bound, body) -> Expr.Let (x, f env bound, f (body_env env e) body)
+  | Expr.Fix (x, body, seed) -> Expr.Fix (x, f (body_env env e) body, f env seed)
   | Expr.BFix (bound, x, body, seed) ->
-      Expr.BFix
-        (f env bound, x, f (bind env x Typecheck.infer seed) body, f env seed)
+      Expr.BFix (f env bound, x, f (body_env env e) body, f env seed)
   | _ -> map_children (f env) e
 
 let is_empty_lit = function
@@ -329,21 +333,11 @@ let rule_selfproduct_elim_setonly =
   {
     name = "self-product-projection (set-only)";
     applies =
-      (fun env -> function
-        | Expr.Map (x, Expr.Tuple body, Expr.Product (a, b))
-          when expr_compare a b = 0 -> (
+      (fun env e ->
+        match Expr.as_proj e with
+        | Some (ixs, Expr.Product (a, b)) when expr_compare a b = 0 -> (
             match arity_of env a with
-            | Some k
-              when List.length body = k
-                   && List.for_all2
-                        (fun i e ->
-                          match e with
-                          | Expr.Proj (j, Expr.Var y) ->
-                              j = i && String.equal y x
-                          | _ -> false)
-                        (List.init k (fun i -> i + 1))
-                        body ->
-                Some a
+            | Some k when ixs = List.init k (fun i -> i + 1) -> Some a
             | _ -> None)
         | _ -> None);
   }
@@ -359,12 +353,13 @@ let set_only_rules = [ rule_selfproduct_elim_setonly; rule_dedup_elim_setonly ]
 
 (** {1 Driving} *)
 
-(* One bottom-up pass: rewrite children first, then try rules at the node
-   until none applies.  Every node is rewritten under the environment it is
-   typed in (binder variables included), so rules that read arities see
-   the binding in scope, not an outer one it shadows. *)
-let rewrite_pass env rules e =
-  let applied = ref [] in
+type verdict = Accept | Reject | Stop
+
+(* Every node is rewritten under the environment it is typed in (binder
+   variables included), so rules that read arities see the binding in
+   scope, not an outer one it shadows. *)
+let drive ~accept rules env e =
+  let applied = ref [] and fired = ref 0 and stopped = ref false in
   let rec at_node env e =
     let rec fire e fuel =
       if fuel = 0 then e
@@ -372,33 +367,41 @@ let rewrite_pass env rules e =
         match
           List.find_map
             (fun r ->
-              match r.applies env e with
-              | Some e' when expr_compare e' e <> 0 -> Some (r.name, e')
-              | _ -> None)
+              if !stopped then None
+              else
+                match r.applies env e with
+                | Some e' when expr_compare e' e <> 0 -> (
+                    match accept env r.name e e' with
+                    | Accept -> Some (r.name, e')
+                    | Reject -> None
+                    | Stop ->
+                        stopped := true;
+                        None)
+                | _ -> None)
             rules
         with
         | Some (name, e') ->
             applied := name :: !applied;
+            incr fired;
             if Obs.on () then Obs.emit Obs.I ~cat:"rewrite" ~name ~args:[ ("size", Obs.Int (Expr.size e')) ];
             fire e' (fuel - 1)
         | None -> e
     in
-    fire (map_children_env at_node env e) 16
+    if !stopped then e else fire (map_children_env at_node env e) 16
   in
-  let e' = at_node env e in
+  let rec passes n e =
+    let before = !fired in
+    let e' = at_node env e in
+    if n = 1 || !stopped || !fired = before then e' else passes (n - 1) e'
+  in
+  let e' = passes 8 e in
   (e', List.rev !applied)
 
 (** Rewrite to a fixpoint of the sound rules (bounded number of passes).
     Returns the normal form and the rule applications performed. *)
-let normalize ?(rules = sound_rules) ?(max_passes = 8) env e =
+let normalize ?(rules = sound_rules) env e =
   if Obs.on () then Obs.emit Obs.B ~cat:"rewrite" ~name:"normalize" ~args:[ ("size", Obs.Int (Expr.size e)) ];
-  let rec go passes e log =
-    if passes = 0 then (e, log)
-    else
-      let e', applied = rewrite_pass env rules e in
-      if applied = [] then (e, log) else go (passes - 1) e' (log @ applied)
-  in
-  match go max_passes e [] with
+  match drive ~accept:(fun _ _ _ _ -> Accept) rules env e with
   | e', log ->
       if Obs.on () then Obs.emit Obs.E ~cat:"rewrite" ~name:"normalize" ~args:[ ("rules", Obs.Int (List.length log)); ("size", Obs.Int (Expr.size e')) ];
       (e', log)

@@ -169,15 +169,7 @@ let rec scalar_of x (e : Expr.t) : Vec.scalar option =
       | _ -> None)
   | _ -> None
 
-(* A pure positional projection <α_{i1}(x), ...> — worth its own label so
-   plans distinguish the proj kernel from a general map. *)
-let is_proj = function
-  | Vec.SRecord ss ->
-      ss <> []
-      && List.for_all
-           (function Vec.SField (_, Vec.SRow) -> true | _ -> false)
-           ss
-  | _ -> false
+let vectorizes x e = Option.is_some (scalar_of x e)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation. *)
@@ -352,7 +344,12 @@ and compile_node ~att ~pn ~sub (e : Expr.t) : compiled =
       in
       match scalar_of x body with
       | Some s ->
-          pn.p_engine <- (if is_proj s then "vec:proj" else "vec:map");
+          (* a pure positional projection gets its own label, so plans
+             tell the proj kernel from a general map *)
+          pn.p_engine <-
+            (match Expr.as_proj e with
+            | Some (_ :: _, _) -> "vec:proj"
+            | _ -> "vec:map");
           fun st env -> (
             let h = c st env in
             match as_vec h with

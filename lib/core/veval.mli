@@ -33,6 +33,13 @@ val default_engine : unit -> engine
 (** [Vec] when the [BALG_ENGINE] environment variable is set to [vec],
     [Tree] otherwise — the override honoured by the test suite's CI leg. *)
 
+val vectorizes : Expr.var -> Expr.t -> bool
+(** Whether a [map] body or [select] operand over the row variable [x]
+    compiles to a column-wise scalar program (projections of [x],
+    literals, tuples of these, the [ones] idiom); any other body runs on
+    the tree path.  {!Opt.cost} charges vector constants exactly where
+    this holds. *)
+
 (** {1 Execution plans}
 
     Which engine ran each subtree: every compiled node carries a label —

@@ -11,6 +11,12 @@ let strip_cr line =
   let n = String.length line in
   if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
+let split_command line =
+  match String.index_opt line ' ' with
+  | Some i ->
+      Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
+  | None -> None
+
 let resolve host =
   try Unix.inet_addr_of_string host
   with Failure _ -> (

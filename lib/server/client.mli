@@ -9,6 +9,14 @@
 
 type t
 
+val strip_cr : string -> string
+(** A protocol line without its trailing ['\r'], if any: every reader of
+    the protocol accepts CRLF line ends. *)
+
+val split_command : string -> (string * string) option
+(** [Some (word, arg)] for a line ["word arg"], split at its first space;
+    [None] for a line without one. *)
+
 val connect :
   ?timeout_s:float -> host:string -> port:int -> unit -> (t, string) result
 (** TCP connect.  With [timeout_s] the connect itself is timed (a

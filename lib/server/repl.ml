@@ -62,17 +62,6 @@ let default_params =
     hb_interval_s = 0.5;
   }
 
-let strip_cr line =
-  let n = String.length line in
-  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let after prefix s =
-  String.sub s (String.length prefix) (String.length s - String.length prefix)
-
 (* --- primary side: the ship loop ------------------------------------------- *)
 
 let serve_sync ~store ~params ~stopping ~after oc =
@@ -190,7 +179,7 @@ let note_failure f msg =
 let read_snapshot_block ic =
   let b = Buffer.create 256 in
   let rec go first =
-    let line = strip_cr (input_line ic) in
+    let line = Client.strip_cr (input_line ic) in
     if String.equal line "." then Buffer.contents b
     else begin
       if not first then Buffer.add_char b '\n';
@@ -209,7 +198,7 @@ let run_session f c =
   let ic, oc = Client.raw c in
   output_string oc (Printf.sprintf "sync %d\n" (Store.log_seq f.f_store));
   flush oc;
-  let hello = strip_cr (input_line ic) in
+  let hello = Client.strip_cr (input_line ic) in
   (match String.split_on_char ' ' hello with
   | "ok" :: cur :: _ ->
       (match int_of_string_opt cur with
@@ -222,7 +211,7 @@ let run_session f c =
   Mutex.unlock f.mu;
   if Obs.on () then Obs.emit Obs.I ~tid:Obs.lane_repl ~cat:"repl" ~name:"repl.connected" ~args:[ ("seq", Obs.Int (Store.log_seq f.f_store)) ];
   while not f.stopping do
-    let line = strip_cr (input_line ic) in
+    let line = Client.strip_cr (input_line ic) in
     if String.length line > 0 && line.[0] = '@' then begin
       (* a shipped record passes the same CRC/length gate recovery uses
          before it can touch the store *)
@@ -240,26 +229,26 @@ let run_session f c =
                   set_primary_seq f r.Frame.seq
               | Error e -> raise (Repl_error e)))
     end
-    else if starts_with "hb " line then (
-      match int_of_string_opt (String.trim (after "hb " line)) with
-      | Some n -> set_primary_seq f n
-      | None -> ())
-    else if starts_with "snapshot " line then (
-      match int_of_string_opt (String.trim (after "snapshot " line)) with
-      | None -> raise (Repl_error "malformed snapshot header")
-      | Some seq -> (
-          let body = read_snapshot_block ic in
-          match Bagdb.parse body with
-          | exception Bagdb.Db_error e ->
-              raise (Repl_error ("corrupt snapshot: " ^ Bagdb.error_to_string e))
-          | db -> (
-              match Store.install_snapshot f.f_store db ~seq with
-              | Ok () ->
-                  Metrics.incr m_snap_installed;
-                  if Obs.on () then Obs.emit Obs.I ~tid:Obs.lane_repl ~cat:"repl" ~name:"repl.snapshot.installed" ~args:[ ("seq", Obs.Int seq) ];
-                  set_primary_seq f seq
-              | Error e -> raise (Repl_error e))))
-    else raise (Repl_error ("unexpected line from primary: " ^ line))
+    else
+      let offset arg = int_of_string_opt (String.trim arg) in
+      match Client.split_command line with
+      | Some ("hb", arg) -> Option.iter (set_primary_seq f) (offset arg)
+      | Some ("snapshot", arg) -> (
+          match offset arg with
+          | None -> raise (Repl_error "malformed snapshot header")
+          | Some seq -> (
+              let body = read_snapshot_block ic in
+              match Bagdb.parse body with
+              | exception Bagdb.Db_error e ->
+                  raise (Repl_error ("corrupt snapshot: " ^ Bagdb.error_to_string e))
+              | db -> (
+                  match Store.install_snapshot f.f_store db ~seq with
+                  | Ok () ->
+                      Metrics.incr m_snap_installed;
+                      if Obs.on () then Obs.emit Obs.I ~tid:Obs.lane_repl ~cat:"repl" ~name:"repl.snapshot.installed" ~args:[ ("seq", Obs.Int seq) ];
+                      set_primary_seq f seq
+                  | Error e -> raise (Repl_error e))))
+      | _ -> raise (Repl_error ("unexpected line from primary: " ^ line))
   done
 
 (* Backoff sleep in small slices so [stop] never waits for the cap. *)

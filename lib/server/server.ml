@@ -141,17 +141,6 @@ type t = {
 let one_line s =
   String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
-let strip_cr line =
-  let n = String.length line in
-  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let after prefix s =
-  String.sub s (String.length prefix) (String.length s - String.length prefix)
-
 (* --- structured logs -------------------------------------------------------- *)
 
 let json_str s = "\"" ^ Obs.json_escape s ^ "\""
@@ -588,19 +577,19 @@ let dispatch sv r line =
              | Ok () -> "ok compacted"
              | Error msg -> fail r ("err wal: " ^ one_line msg)))
   | _ when String.equal (String.trim line) "" -> reply ""
-  | _ when starts_with "eval " line ->
-      reply (one_line (handle_eval sv r (after "eval " line)))
-  | _ when starts_with "def " line ->
-      reply (writable sv r (fun () -> one_line (handle_def sv r (after "def " line))))
-  | _ when starts_with "drop " line ->
-      reply (writable sv r (fun () -> one_line (handle_drop sv r (after "drop " line))))
-  | _ when starts_with "set " line ->
-      reply (one_line (handle_set r (after "set " line)))
-  | _ when starts_with "sync " line -> (
-      match int_of_string_opt (String.trim (after "sync " line)) with
-      | Some a when a >= 0 -> `Sync a
-      | _ -> reply (fail r "err proto: sync expects a non-negative log offset"))
-  | _ -> reply (fail r ("err proto: unknown command " ^ one_line line))
+  | _ -> (
+      match Client.split_command line with
+      | Some ("eval", q) -> reply (one_line (handle_eval sv r q))
+      | Some ("def", d) ->
+          reply (writable sv r (fun () -> one_line (handle_def sv r d)))
+      | Some ("drop", n) ->
+          reply (writable sv r (fun () -> one_line (handle_drop sv r n)))
+      | Some ("set", kvs) -> reply (one_line (handle_set r kvs))
+      | Some ("sync", a) -> (
+          match int_of_string_opt (String.trim a) with
+          | Some a when a >= 0 -> `Sync a
+          | _ -> reply (fail r "err proto: sync expects a non-negative log offset"))
+      | _ -> reply (fail r ("err proto: unknown command " ^ one_line line)))
 
 (* Mint the record, open the session-lane span, run the command and
    [finish] the record on every exit path, so a dying session never
@@ -608,7 +597,7 @@ let dispatch sv r line =
    is finished before its feed starts, since the feed never completes. *)
 let respond sv sess line =
   Metrics.incr m_requests;
-  let line = strip_cr line in
+  let line = Client.strip_cr line in
   let r =
     { id = Atomic.fetch_and_add sv.next_req 1; sess; cmd = cmd_word line;
       t0 = Unix.gettimeofday (); outcome = `Ok; query = None; cache = `Miss;
@@ -666,7 +655,7 @@ let handle_http sv request_line ic oc =
        ()
      done
    with End_of_file | Sys_error _ -> ());
-  match String.split_on_char ' ' (strip_cr request_line) with
+  match String.split_on_char ' ' (Client.strip_cr request_line) with
   | meth :: path :: _ when String.equal meth "GET" || String.equal meth "HEAD"
     -> (
       match path with
@@ -717,8 +706,9 @@ let handle_conn sv id fd =
   (try
      let first = input_line ic in
      if
-       starts_with "GET " first || starts_with "HEAD " first
-       || starts_with "POST " first
+       List.exists
+         (fun prefix -> String.starts_with ~prefix first)
+         [ "GET "; "HEAD "; "POST " ]
      then handle_http sv first ic oc
      else session_loop sv sess ic oc first
    with

@@ -114,6 +114,23 @@ if [ -n "$bad" ]; then
   fail=1
 fi
 
+# one planner driver: Rewrite.drive is the only pass loop in lib/core.
+# Opt supplies its cost-gated acceptance step and never walks the tree
+# itself, and its cost model asks Veval.vectorizes which bodies run
+# column-wise instead of keeping a shape test of its own.
+bad=$(grep -nE 'map_children_env|max_passes' lib/core/opt.ml || true)
+if [ -n "$bad" ]; then
+  echo "lint: lib/core/opt.ml must plan through Rewrite.drive, not walk the tree itself:"
+  echo "$bad" | sed 's/^/  /'
+  fail=1
+fi
+bad=$(grep -rn 'scalar_shape' lib || true)
+if [ -n "$bad" ]; then
+  echo "lint: vectorizability is Veval.vectorizes; no second shape test in lib/:"
+  echo "$bad" | sed 's/^/  /'
+  fail=1
+fi
+
 # rewrite coverage: every named rule in the rewriter and the optimizer
 # must be exercised by a differential/witness test — a rule whose
 # 'applies' never fires under test is an unsound-rewrite time bomb.  A

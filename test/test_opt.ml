@@ -236,6 +236,13 @@ let guarded engine inst e =
   Result.to_option
     (Veval.run_engine engine ~limits:small_limits (Eval.env_of_list inst) e)
 
+(* The AC orientation rules are cost-symmetric, so cost mode must not
+   even propose them: each proposal costs two cost-model walks. *)
+let proposes_comm rep =
+  List.exists
+    (fun d -> String.starts_with ~prefix:"comm-" d.Opt.d_rule)
+    rep.Opt.r_decisions
+
 let prop_opt_differential engine engine_name gen gen_name count =
   QCheck.Test.make
     ~name:
@@ -246,8 +253,9 @@ let prop_opt_differential engine engine_name gen gen_name count =
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let e = gen rng env_spec 4 (1 + Random.State.int rng 2) in
-      let e' = Opt.prepare ~engine Opt.Cost tenv e in
-      List.for_all
+      let e', rep = Opt.optimize ~engine Opt.Cost tenv e in
+      (not (proposes_comm rep))
+      && List.for_all
         (fun _ ->
           let inst = Baggen.Genexpr.instance rng env_spec in
           match (guarded engine inst e, guarded engine inst e') with
@@ -335,23 +343,68 @@ let test_shadowed_let text () =
 
 (* Fixpoint variables are typed at the seed's type, so join extraction
    now reaches into closure bodies: the read_cold closure joins X with
-   G0 instead of materialising X * G0 every round. *)
-let test_join_inside_fix () =
+   G0 instead of materialising X * G0 every round.  The benchmark's other
+   planned shapes are pinned beside it: the read_cold 3-way chain becomes
+   two hash joins, the write_repl point lookup keeps its selection under
+   the projection. *)
+let graph_tenv =
+  Typecheck.env_of_list
+    (List.map (fun g -> (g, Ty.relation 2)) [ "G0"; "G1"; "G2"; "G3"; "L0" ])
+
+let test_golden_plans () =
+  List.iter
+    (fun (query, golden) ->
+      let q = Baglang.Parser.expr_of_string query in
+      Alcotest.(check string)
+        query golden
+        (Expr.to_string (Opt.prepare ~engine:Veval.Vec Opt.Cost graph_tenv q)))
+    [
+      ( "select(x -> x.1 == 'n3, fix(X -> dedup(pi[1,4](select(p -> p.2 == \
+         p.3, X * G0)) \\/ X), dedup(G0)))",
+        "select(x -> x.1 == 'n3, fix(X -> dedup((map(%pi -> <%pi.1, %pi.4>, \
+         join[2,1](X, G0)) \\/ X)), dedup(G0)))" );
+      ( "dedup(pi[3](select(x -> x.4 == x.5, select(x -> x.2 == x.3, G1 * G2) \
+         * G3)))",
+        "dedup(map(%pi -> <%pi.3>, join[4,1](join[2,1](G1, G2), G3)))" );
+      ( "pi[2](select(x -> x.1 == 'k7, L0))",
+        "map(%pi -> <%pi.2>, select(x -> x.1 == 'k7, L0))" );
+    ]
+
+(* The closure over a 5-edge graph: the planner costs the fixpoint
+   variable at the seed's type when it extracts the join, and the report
+   must cost it the same way, or it prints an output dearer than the
+   input the accepted rewrite improved on. *)
+let test_closure_report () =
+  let pair a b = Value.tuple [ Value.atom a; Value.atom b ] in
+  let vals =
+    [
+      ( "G0",
+        Value.bag_of_list
+          [ pair "n0" "n1"; pair "n1" "n2"; pair "n2" "n3"; pair "n3" "n0";
+            pair "n1" "n3" ] );
+    ]
+  in
   let q =
     Baglang.Parser.expr_of_string
-      "select(x -> x.1 == 'n3, fix(X -> dedup(pi[1,4](select(p -> p.2 == \
+      "select(x -> x.1 == 'n0, fix(X -> dedup(pi[1,4](select(p -> p.2 == \
        p.3, X * G0)) \\/ X), dedup(G0)))"
   in
-  let tenv = Typecheck.env_of_list [ ("G0", Ty.relation 2) ] in
-  let plan = Opt.prepare ~engine:Veval.Vec Opt.Cost tenv q in
-  let rec has e =
-    match e with
-    | Expr.Join (2, 1, Expr.Var "X", Expr.Var "G0") -> true
-    | _ -> List.exists has (Expr.children e)
-  in
+  let _, rep = Opt.optimize ~vals ~engine:Veval.Vec Opt.Cost graph_tenv q in
+  let cost e = Opt.cost ~vals Veval.Vec graph_tenv e in
   Alcotest.(check bool)
-    ("closure plan contains join[2,1](X, G0): " ^ Expr.to_string plan)
-    true (has plan)
+    (Printf.sprintf "output cost %.0f < input cost %.0f" (cost rep.Opt.r_output)
+       (cost rep.Opt.r_input))
+    true
+    (cost rep.Opt.r_output < cost rep.Opt.r_input);
+  Alcotest.(check bool) "no comm-* decision" false (proposes_comm rep)
+
+(* Vectorizability is the engine's own predicate: a body Veval runs on the
+   tree path is charged the tree walk, not the column constant. *)
+let test_cost_follows_veval () =
+  let cost body = Opt.cost Veval.Vec tenv (Expr.Map ("x", body, s)) in
+  Alcotest.(check bool) "map(x -> dedup(R), S) dearer than map(x -> <x.1>, S)"
+    true
+    (cost (Expr.Dedup r) > cost (Expr.Tuple [ p 1 "x" ]))
 
 (* --- the opt.rewrite fault site -------------------------------------------- *)
 
@@ -417,6 +470,8 @@ let () =
           Alcotest.test_case "mode parsing" `Quick test_mode_parsing;
           Alcotest.test_case "calibration changes plans, not results" `Quick
             test_calibration_changes_plan_not_results;
+          Alcotest.test_case "cost follows Veval's vectorizability" `Quick
+            test_cost_follows_veval;
         ] );
       ( "binders",
         [
@@ -427,7 +482,9 @@ let () =
             (test_shadowed_let
                "let R = R * S in select(p -> p.1 == p.4, R * S)");
           Alcotest.test_case "join extracted inside fix" `Quick
-            test_join_inside_fix;
+            test_golden_plans;
+          Alcotest.test_case "closure report costs X like the planner" `Quick
+            test_closure_report;
         ] );
       ( "differential",
         [
