@@ -182,9 +182,10 @@ let to_int_opt (n : t) =
   | 2 -> Some (n.(0) + (base * n.(1)))
   | 3 ->
       let hi = n.(2) in
-      (* max_int / base^2 = 9223372036 on 64-bit, so hi <= 9 is always
-         safe and hi > 9 overflows. *)
-      if hi <= 9 then
+      (* max_int = 2^62 - 1 < 5 * base^2, so hi > 4 always overflows.  For
+         hi <= 4 the sum stays below 5 * base^2 < 2^63: an overflow wraps
+         to a negative int, never to a small positive one. *)
+      if hi <= max_int / (base * base) then
         let v = n.(0) + (base * n.(1)) + (base * base * hi) in
         if v >= 0 then Some v else None
       else None

@@ -88,11 +88,12 @@ let as_conc = function
 
 let rec ainterp ctx (e : Expr.t) : res =
   match e with
-  | Expr.Var x when String.equal x ctx.input -> Abag [ (input_tuple, Poly.x) ]
   | Expr.Var x -> (
+      (* a [let] or binder of the input's name shadows the input *)
       match Eval.Env.find_opt x ctx.env with
       | Some (Conc v) -> Cval v
       | Some (Abs entries) -> Abag entries
+      | None when String.equal x ctx.input -> Abag [ (input_tuple, Poly.x) ]
       | None -> unsupported "unbound variable %s" x)
   | Expr.Lit (v, _) -> Cval v
   | Expr.Tuple es -> Cval (Value.tuple (List.map (fun e -> as_conc (ainterp ctx e)) es))

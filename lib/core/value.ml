@@ -265,27 +265,44 @@ let rec infer v =
 
 (** {1 Rendering} *)
 
-let rec pp ppf v =
+(* One recursive walk appending to a single [Buffer], with no formatter
+   state or intermediate strings per node.  Counts print exactly: through
+   [string_of_int] when they fit an [int], {!Bignat.to_string} beyond. *)
+let rec add_to_buffer buf v =
   match v.node with
-  | Atom s -> Format.fprintf ppf "'%s" s
+  | Atom s ->
+      Buffer.add_char buf '\'';
+      Buffer.add_string buf s
   | Tuple vs ->
-      Format.fprintf ppf "<%a>"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           pp)
-        vs
+      Buffer.add_char buf '<';
+      List.iteri
+        (fun i w ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_to_buffer buf w)
+        vs;
+      Buffer.add_char buf '>'
   | Bag pairs ->
-      let pp_pair ppf (v, c) =
-        if Bignat.is_one c then pp ppf v
-        else Format.fprintf ppf "%a:%a" pp v Bignat.pp c
-      in
-      Format.fprintf ppf "{{%a}}"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           pp_pair)
-        pairs
+      Buffer.add_string buf "{{";
+      List.iteri
+        (fun i (w, c) ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_to_buffer buf w;
+          if not (Bignat.is_one c) then begin
+            Buffer.add_char buf ':';
+            Buffer.add_string buf
+              (match Bignat.to_int_opt c with
+              | Some n -> string_of_int n
+              | None -> Bignat.to_string c)
+          end)
+        pairs;
+      Buffer.add_string buf "}}"
 
-let to_string v = Format.asprintf "%a" pp v
+let to_string v =
+  let buf = Buffer.create 256 in
+  add_to_buffer buf v;
+  Buffer.contents buf
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 (** Decode an integer-as-bag value back to its count (total cardinality). *)
 let nat_value b = cardinal b

@@ -123,8 +123,19 @@ val infer : t -> Ty.t option
 
 (** {1 Rendering} *)
 
-val pp : Format.formatter -> t -> unit
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the value's text: atoms as ['name], tuples as [<v1, v2>], bags
+    as [{{v1, v2:3}}] in canonical order with a [:n] suffix on every count
+    other than 1 (counts beyond [max_int] are printed exactly).  One walk
+    into one buffer — the renderer behind {!to_string}, the WAL payload,
+    [.bagdb] dumps and server replies. *)
+
 val to_string : t -> string
+(** {!add_to_buffer} into a fresh buffer. *)
+
+val pp : Format.formatter -> t -> unit
+(** {!to_string} as one [Format] token, for [Format]-based printers such
+    as {!Expr.pp}. *)
 
 val nat_value : t -> Bignat.t
 (** Decode an integer-as-bag back to its number (the cardinality). *)

@@ -749,13 +749,18 @@ let tuple_cols = function
   | CTuple cs -> cs
   | _ -> unsupported "not a bag of tuples"
 
+(* A zero-row operand yields a zero-row result without looking at its
+   column: [of_value] gives the empty bag no shape ([CAtom [||]]), and a
+   zero-row vector's shape is never read — [to_value] makes it [{{}}],
+   and the union and merge kernels skip a zero-row side. *)
+let no_rows () = { rows = 0; data = CAtom [||]; cnts = cnt_make 0 }
+
 let expected_product_rows a b = Value.sat_mul a.rows b.rows
 
 (* Cartesian product: two index vectors in nested-loop order, one gather
    per column, counts multiplied pairwise.  Chunks cover contiguous outer
    ranges, so the parts concatenate in sequential order. *)
-let product ?pool a b =
-  Fault.inject alloc_site;
+let product_rows ?pool a b =
   if expected_product_rows a b = max_int then
     unsupported "product: expected rows exceed int range";
   let acols = tuple_cols a.data and bcols = tuple_cols b.data in
@@ -849,6 +854,10 @@ let product ?pool a b =
       concat_vecs parts
   | _ -> slice (0, a.rows)
 
+let product ?pool a b =
+  Fault.inject alloc_site;
+  if a.rows = 0 || b.rows = 0 then no_rows () else product_rows ?pool a b
+
 (* Growable int buffer: the probe side of [join] collects its matches in
    two of these instead of consing lists. *)
 type ibuf = { mutable buf : int array; mutable fill : int }
@@ -876,8 +885,7 @@ let ibuf_contents b = Array.sub b.buf 0 b.fill
    codes directly (their hash is injective).  With a pool, probe slices
    cover contiguous ranges of [a]'s rows against the shared index, which
    is read-only once built. *)
-let join ?pool i j a b =
-  Fault.inject alloc_site;
+let join_rows ?pool i j a b =
   let acols = tuple_cols a.data and bcols = tuple_cols b.data in
   if i < 1 || i > Array.length acols then
     unsupported "join: left attribute out of range";
@@ -939,8 +947,13 @@ let join ?pool i j a b =
       concat_vecs parts
   | _ -> probe_slice (0, a.rows)
 
+let join ?pool i j a b =
+  Fault.inject alloc_site;
+  if a.rows = 0 || b.rows = 0 then no_rows () else join_rows ?pool i j a b
+
 let map_scalar s t =
   Fault.inject alloc_site;
+  if t.rows = 0 then no_rows () else
   { rows = t.rows; data = eval_scalar t s; cnts = t.cnts }
 
 (* Kept row indices of [lo, hi) where the two operand columns agree.  The
@@ -979,6 +992,7 @@ let select_keep (cl : col) (cr : col) lo hi : int array =
 
 let select_scalar ?pool l r t =
   Fault.inject alloc_site;
+  if t.rows = 0 then no_rows () else
   let cl = eval_scalar t l and cr = eval_scalar t r in
   let keep =
     match pool with
@@ -1080,6 +1094,7 @@ let dedup t =
    walks depend on. *)
 let nest ixs t =
   Fault.inject alloc_site;
+  if t.rows = 0 then no_rows () else
   match t.data with
   | CTuple cs ->
       let nattr = Array.length cs in
@@ -1167,6 +1182,7 @@ let identity n = Array.init n (fun i -> i)
    the element slot — only the sibling attributes need gathering. *)
 let unnest ix t =
   Fault.inject alloc_site;
+  if t.rows = 0 then no_rows () else
   match t.data with
   | CTuple cs when ix >= 1 && ix <= Array.length cs -> (
       match cs.(ix - 1) with
@@ -1197,6 +1213,7 @@ let unnest ix t =
    into the member counts. *)
 let destroy t =
   Fault.inject alloc_site;
+  if t.rows = 0 then no_rows () else
   match t.data with
   | CBag { off; elems; ecnt } ->
       let total = off.(t.rows) in

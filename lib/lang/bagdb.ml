@@ -129,8 +129,15 @@ let type_env (db : t) = Typecheck.env_of_list (List.map (fun (n, ty, _) -> (n, t
 let value_env (db : t) = Eval.env_of_list (List.map (fun (n, _, v) -> (n, v)) db)
 
 let render (db : t) =
-  String.concat "\n"
-    (List.map
-       (fun (n, ty, v) ->
-         Printf.sprintf "bag %s : %s = %s" n (Ty.to_string ty) (Value.to_string v))
-       db)
+  let buf = Buffer.create 4096 in
+  List.iteri
+    (fun i (n, ty, v) ->
+      if i > 0 then Buffer.add_char buf '\n';
+      Buffer.add_string buf "bag ";
+      Buffer.add_string buf n;
+      Buffer.add_string buf " : ";
+      Buffer.add_string buf (Ty.to_string ty);
+      Buffer.add_string buf " = ";
+      Value.add_to_buffer buf v)
+    db;
+  Buffer.contents buf

@@ -43,16 +43,16 @@ let m_rel_invalidations rel =
     ("balg_server_cache_rel_invalidations_total_" ^ sanitize_label rel)
     ~help:("Result-cache entries invalidated by writes to " ^ rel)
 
-type entry = {
+type 'a entry = {
   e_rels : (string * Value.t) list;  (* referenced relations at fill time *)
-  e_value : Value.t;
+  e_payload : 'a;
   e_ty : Ty.t;
 }
 
-type t = {
+type 'a t = {
   capacity : int;
   mu : Mutex.t;
-  tbl : (string, entry) Hashtbl.t;
+  tbl : (string, 'a entry) Hashtbl.t;
   by_rel : (string, string list ref) Hashtbl.t;  (* relation -> keys *)
   inval_by_rel : (string, int ref) Hashtbl.t;  (* relation -> entries dropped *)
   fifo : string Queue.t;  (* insertion order, for eviction *)
@@ -102,7 +102,7 @@ let find t ~key ~rels =
   let r =
     locked t (fun () ->
         match Hashtbl.find_opt t.tbl key with
-        | Some e when rels_match e.e_rels rels -> Some (e.e_value, e.e_ty)
+        | Some e when rels_match e.e_rels rels -> Some (e.e_payload, e.e_ty)
         | _ -> None)
   in
   Metrics.incr (match r with Some _ -> m_hits | None -> m_misses);
@@ -128,7 +128,7 @@ let drop_key_locked t k =
               | _ -> ()))
         e.e_rels
 
-let add t ~key ~rels v ty =
+let add t ~key ~rels payload ty =
   locked t (fun () ->
       if not (Hashtbl.mem t.tbl key) then begin
         while Hashtbl.length t.tbl >= t.capacity do
@@ -140,7 +140,7 @@ let add t ~key ~rels v ty =
                 Metrics.incr m_evictions
               end
         done;
-        Hashtbl.add t.tbl key { e_rels = rels; e_value = v; e_ty = ty };
+        Hashtbl.add t.tbl key { e_rels = rels; e_payload = payload; e_ty = ty };
         Queue.push key t.fifo;
         List.iter
           (fun (n, _) ->

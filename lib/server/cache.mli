@@ -11,6 +11,11 @@
     against the caller's snapshot with {!Balg.Value.equal} (O(1) refute on
     tag mismatch) before reporting a hit.
 
+    The cache is generic over what an entry holds: ['a t] stores an ['a]
+    payload next to the result type.  [balgd] keeps a [string t] whose
+    payload is the final reply line, so a hit is answered without
+    rendering; in-process callers can keep the {!Balg.Value.t} itself.
+
     All operations are mutex-serialized: sessions on any thread and
     workers on any domain share one cache.  Hits, misses, invalidations
     and evictions feed the {!Balg.Metrics} registry. *)
@@ -18,9 +23,9 @@
 open Balg
 module Bagdb = Baglang.Bagdb
 
-type t
+type 'a t
 
-val create : ?capacity:int -> unit -> t
+val create : ?capacity:int -> unit -> 'a t
 (** [capacity] (default 512) bounds the entry count; insertion beyond it
     evicts the oldest entry (FIFO). *)
 
@@ -35,19 +40,21 @@ val key :
     entry must be verified against. *)
 
 val find :
-  t -> key:string -> rels:(string * Value.t) list -> (Value.t * Ty.t) option
+  'a t -> key:string -> rels:(string * Value.t) list -> ('a * Ty.t) option
+(** The stored payload and result type, returned as stored (not copied). *)
 
 val add :
-  t -> key:string -> rels:(string * Value.t) list -> Value.t -> Ty.t -> unit
+  'a t -> key:string -> rels:(string * Value.t) list -> 'a -> Ty.t -> unit
+(** No-op when [key] is already present. *)
 
-val invalidate : t -> string -> unit
+val invalidate : 'a t -> string -> unit
 (** Drop every entry whose query references the given relation.  Counts
     are kept per relation (readable via {!invalidations_by_rel}) and
     mirrored into the metrics registry as
     [balg_server_cache_rel_invalidations_total_<relation>]. *)
 
-val invalidations_by_rel : t -> (string * int) list
+val invalidations_by_rel : 'a t -> (string * int) list
 (** Entries dropped by {!invalidate} per relation since creation, sorted
     by relation name. *)
 
-val length : t -> int
+val length : 'a t -> int

@@ -115,7 +115,7 @@ type session = {
 type t = {
   cfg : config;
   store : Store.t;
-  cache : Cache.t;
+  cache : string Cache.t;  (* payload: the final "ok <value> : <type>" line *)
   exec : Exec.t;
   listen_fd : Unix.file_descr;
   bound_port : int;
@@ -138,8 +138,12 @@ type t = {
 
 (* --- small helpers --------------------------------------------------------- *)
 
+(* Replies are one line each.  A line without CR or LF comes back as the
+   same string, not a copy. *)
 let one_line s =
-  String.map (function '\n' | '\r' -> ' ' | c -> c) s
+  if String.exists (function '\n' | '\r' -> true | _ -> false) s then
+    String.map (function '\n' | '\r' -> ' ' | c -> c) s
+  else s
 
 (* --- structured logs -------------------------------------------------------- *)
 
@@ -346,27 +350,40 @@ let role_line sv =
 
 let db_vals db = List.map (fun (n, _ty, v) -> (n, v)) db
 
+(* The success reply, rendered once into one buffer; this exact string is
+   what the result cache stores and every later hit sends. *)
+let ok_line v ty =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "ok ";
+  Value.add_to_buffer buf v;
+  Buffer.add_string buf " : ";
+  Buffer.add_string buf (Ty.to_string ty);
+  one_line (Buffer.contents buf)
+
+(* The reply is one line: a hit sends the cached line as stored, without
+   scanning its (possibly large) text again; every other answer goes
+   through [one_line] here. *)
 let handle_eval sv r q =
   match Parser.expr_of_string q with
   | exception Parser.Parse_error (msg, pos) ->
-      fail r (Printf.sprintf "err parse: offset %d: %s" pos msg)
+      fail r (one_line (Printf.sprintf "err parse: offset %d: %s" pos msg))
   | exception Lexer.Lex_error (msg, pos) ->
-      fail r (Printf.sprintf "err parse: lex error at offset %d: %s" pos msg)
+      fail r
+        (one_line (Printf.sprintf "err parse: lex error at offset %d: %s" pos msg))
   | e -> (
       (* snapshot isolation: this request evaluates against the store as
          of now, no matter how many writes land while it waits or runs *)
       let db = Store.snapshot sv.store in
       match Typecheck.infer (Bagdb.type_env db) e with
-      | exception Typecheck.Type_error msg -> fail r ("err type: " ^ msg)
+      | exception Typecheck.Type_error msg -> fail r (one_line ("err type: " ^ msg))
       | ty -> (
           let engine = r.sess.s_engine and mode = r.sess.s_mode in
           r.query <- Some q;
           let ckey, rels = Cache.key ~engine ~mode ~db e in
           match Cache.find sv.cache ~key:ckey ~rels with
-          | Some (v, ty') ->
+          | Some (line, _) ->
               r.cache <- `Hit;
-              Printf.sprintf "ok %s : %s" (Value.to_string v)
-                (Ty.to_string ty')
+              line
           | None -> (
               Metrics.incr m_evals;
               let budget = Budget.create r.sess.s_limits in
@@ -415,7 +432,7 @@ let handle_eval sv r q =
               match Exec.submit sv.exec ~weight ~budget ~run with
               | Error msg ->
                   r.outcome <- `Busy;
-                  "err busy: " ^ msg
+                  one_line ("err busy: " ^ msg)
               | Ok (outcome, st) -> (
                   (* retro-dated queue-wait span: this thread emitted
                      nothing since the session-request B, and
@@ -429,11 +446,12 @@ let handle_eval sv r q =
                   r.fuel <- Budget.fuel_spent budget;
                   match outcome with
                   | `Ok (v, ty) ->
-                      Cache.add sv.cache ~key:ckey ~rels v ty;
-                      Printf.sprintf "ok %s : %s" (Value.to_string v)
-                        (Ty.to_string ty)
-                  | `Verdict x -> "verdict " ^ Budget.exhaustion_to_string x
-                  | `Fail msg -> "err " ^ msg))))
+                      let line = ok_line v ty in
+                      Cache.add sv.cache ~key:ckey ~rels line ty;
+                      line
+                  | `Verdict x ->
+                      one_line ("verdict " ^ Budget.exhaustion_to_string x)
+                  | `Fail msg -> one_line ("err " ^ msg)))))
 
 (* --- writes ---------------------------------------------------------------- *)
 
@@ -579,7 +597,7 @@ let dispatch sv r line =
   | _ when String.equal (String.trim line) "" -> reply ""
   | _ -> (
       match Client.split_command line with
-      | Some ("eval", q) -> reply (one_line (handle_eval sv r q))
+      | Some ("eval", q) -> reply (handle_eval sv r q)
       | Some ("def", d) ->
           reply (writable sv r (fun () -> one_line (handle_def sv r d)))
       | Some ("drop", n) ->

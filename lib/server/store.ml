@@ -73,16 +73,25 @@ type t = {
   recovered : int;
   truncated : int;
   corrupt : bool;
+  changed : Condition.t;  (* broadcast on every publish, expiry and close *)
+  mutable deadlines : float list;  (* those of the waits in progress *)
+  mutable target : float;  (* the deadline the timer sleeps until *)
+  mutable timer : timer option;  (* started by the first wait *)
+  mutable closed : bool;
 }
+
+(* The wakeup timer: one thread per store, blocked in a read on a private
+   socket pair whose receive timeout runs out at [target].  A receive
+   timeout, unlike select(2), works for any descriptor number. *)
+and timer = { th : Thread.t; wake_r : Unix.file_descr; wake_w : Unix.file_descr }
 
 let snapshot_path dir = Filename.concat dir "snapshot.bagdb"
 let wal_path dir = Filename.concat dir "wal.log"
 let base_path dir = Filename.concat dir "wal.base"
 
 let render_op = function
-  | Def (n, ty, v) ->
-      Printf.sprintf "bag %s : %s = %s" n (Ty.to_string ty) (Value.to_string v)
-  | Drop n -> Printf.sprintf "drop %s" n
+  | Def (n, ty, v) -> Bagdb.render [ (n, ty, v) ]
+  | Drop n -> "drop " ^ n
 
 (* Deterministic write semantics, shared by live applies and WAL replay:
    a def replaces in place (or appends at the end), so recovery rebuilds
@@ -258,6 +267,11 @@ let open_store ?(compact_bytes = 1 lsl 20) ?(seed = []) ~dir () =
         recovered = 0;
         truncated = 0;
         corrupt = false;
+        changed = Condition.create ();
+        deadlines = [];
+        target = infinity;
+        timer = None;
+        closed = false;
       }
   | Some d ->
       if not (Sys.file_exists d) then Unix.mkdir d 0o755;
@@ -313,6 +327,11 @@ let open_store ?(compact_bytes = 1 lsl 20) ?(seed = []) ~dir () =
         recovered = recs;
         truncated = torn;
         corrupt = corrupt <> None;
+        changed = Condition.create ();
+        deadlines = [];
+        target = infinity;
+        timer = None;
+        closed = false;
       }
 
 let locked t f =
@@ -427,6 +446,7 @@ let commit_locked t seq op =
       t.tail <- (seq, payload) :: t.tail;
       t.revision <- t.revision + 1;
       Metrics.set_gauge g_log_seq (float_of_int seq);
+      Condition.broadcast t.changed;
       if t.wal_bytes >= t.compact_bytes then
         (* best-effort: a failed compaction keeps the (intact) longer
            WAL, it does not fail the write *)
@@ -472,6 +492,7 @@ let install_snapshot t db ~seq =
             t.seq <- seq;
             t.revision <- t.revision + 1;
             Metrics.set_gauge g_log_seq (float_of_int seq);
+            Condition.broadcast t.changed;
             Ok ())
 
 let read_from ?(synced = false) t ~after =
@@ -489,29 +510,99 @@ let read_from ?(synced = false) t ~after =
       else
         `Records (List.filter (fun (s, _) -> s > after) (List.rev t.tail)))
 
-(* Polling subscription: the stdlib [Condition] has no timed wait, and
-   the ship loop needs one to interleave heartbeats and stop checks with
-   its blocking.  20ms granularity keeps replication latency well under
-   the heartbeat interval without measurable idle cost. *)
+(* The ship loop's subscription point.  A waiter sleeps on [changed],
+   which every publish broadcasts, so a record wakes it at once.  For the
+   heartbeat timeout it registers its deadline with the store's timer:
+   the timer sleeps until the earliest pending deadline and broadcasts
+   when it passes.  A deadline earlier than the timer's current target
+   pokes the timer's socket so it re-plans. *)
+
+let poke tm =
+  try ignore (Unix.single_write_substring tm.wake_w "x" 0 1)
+  with Unix.Unix_error _ -> () (* buffer full: a wakeup is already pending *)
+
+let rec timer_loop t wake_r buf =
+  Mutex.lock t.mu;
+  if t.closed then Mutex.unlock t.mu
+  else begin
+    let now = Unix.gettimeofday () in
+    if List.exists (fun d -> d <= now) t.deadlines then
+      Condition.broadcast t.changed;
+    let next =
+      List.fold_left
+        (fun acc d -> if d > now then Float.min acc d else acc)
+        infinity t.deadlines
+    in
+    t.target <- next;
+    Mutex.unlock t.mu;
+    (* a receive timeout of 0 blocks until a poke; a positive one is
+       clamped to 1 ms so it never rounds down to 0 *)
+    Unix.setsockopt_float wake_r Unix.SO_RCVTIMEO
+      (if next = infinity then 0. else Float.max 1e-3 (next -. now));
+    (match Unix.read wake_r buf 0 (Bytes.length buf) with
+    | _ -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ());
+    timer_loop t wake_r buf
+  end
+
+(* Called with the mutex held. *)
+let arm_locked t deadline =
+  t.deadlines <- deadline :: t.deadlines;
+  match t.timer with
+  | Some tm -> if deadline < t.target then poke tm
+  | None ->
+      let wake_r, wake_w =
+        Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+      in
+      Unix.set_nonblock wake_w;
+      let th = Thread.create (fun () -> timer_loop t wake_r (Bytes.create 64)) () in
+      t.timer <- Some { th; wake_r; wake_w }
+
+let rec remove_one d = function
+  | [] -> []
+  | x :: rest -> if Float.equal x d then rest else x :: remove_one d rest
+
 let wait_change t ~seen ~timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    if log_seq t > seen then true
-    else if Unix.gettimeofday () >= deadline then false
-    else begin
-      Thread.delay 0.02;
-      go ()
-    end
-  in
-  go ()
+  locked t (fun () ->
+      if t.seq > seen then true
+      else if t.closed then false
+      else begin
+        let deadline = Unix.gettimeofday () +. timeout_s in
+        arm_locked t deadline;
+        let rec go () =
+          if t.seq > seen then true
+          else if t.closed || Unix.gettimeofday () >= deadline then false
+          else begin
+            Condition.wait t.changed t.mu;
+            go ()
+          end
+        in
+        Fun.protect
+          ~finally:(fun () -> t.deadlines <- remove_one deadline t.deadlines)
+          go
+      end)
 
 let compact t = locked t (fun () -> compact_locked t)
 
 let close t =
-  locked t (fun () ->
-      match t.wal with
-      | Some oc ->
-          (try flush oc with Sys_error _ -> ());
-          close_out_noerr oc;
-          t.wal <- None
-      | None -> ())
+  let timer =
+    locked t (fun () ->
+        (match t.wal with
+        | Some oc ->
+            (try flush oc with Sys_error _ -> ());
+            close_out_noerr oc;
+            t.wal <- None
+        | None -> ());
+        t.closed <- true;
+        Condition.broadcast t.changed;
+        let tm = t.timer in
+        t.timer <- None;
+        Option.iter poke tm;
+        tm)
+  in
+  Option.iter
+    (fun tm ->
+      Thread.join tm.th;
+      Unix.close tm.wake_r;
+      Unix.close tm.wake_w)
+    timer

@@ -131,8 +131,11 @@ val read_from :
 
 val wait_change : t -> seen:int -> timeout_s:float -> bool
 (** Block until {!log_seq} exceeds [seen] (true) or the timeout lapses
-    (false) — the ship loop's subscription point.  (Polling under the
-    hood: the stdlib [Condition] has no timed wait.) *)
+    (false) — the ship loop's subscription point.  Every publish
+    ({!apply}, {!apply_replicated}, {!install_snapshot}) broadcasts to the
+    waiters, so a new record wakes them at once.  Timeouts come from one
+    timer thread per store, started by the first wait and stopped by
+    {!close}; a wait on a closed store returns [false] at once. *)
 
 val compact : t -> (unit, string) result
 (** Write the current contents as the snapshot file (atomic rename,
@@ -144,4 +147,5 @@ val wal_size : t -> int
 (** Bytes in the current WAL (0 for in-memory stores). *)
 
 val close : t -> unit
-(** Flush and close the WAL channel.  The store must not be used after. *)
+(** Flush and close the WAL channel, wake every waiter and stop the wait
+    timer (joining its thread).  The store must not be used after. *)

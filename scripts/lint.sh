@@ -131,6 +131,26 @@ if [ -n "$bad" ]; then
   fail=1
 fi
 
+# render once: Value.to_string and everything built on it (replies, WAL
+# payloads, dumps, snapshot shipping) write into one Buffer through
+# Value.add_to_buffer; a Format.asprintf renderer must not come back.
+bad=$(grep -n 'asprintf' lib/core/value.ml || true)
+if [ -n "$bad" ]; then
+  echo "lint: lib/core/value.ml renders through Value.add_to_buffer, not asprintf:"
+  echo "$bad" | sed 's/^/  /'
+  fail=1
+fi
+
+# no timer floor on replication: Store.wait_change sleeps on a condition
+# that every publish broadcasts, timed out by the store's own timer; a
+# sleep-and-poll loop must not come back.
+bad=$(grep -n 'Thread\.delay' lib/server/store.ml || true)
+if [ -n "$bad" ]; then
+  echo "lint: lib/server/store.ml must wake waiters on publish, not poll with Thread.delay:"
+  echo "$bad" | sed 's/^/  /'
+  fail=1
+fi
+
 # rewrite coverage: every named rule in the rewriter and the optimizer
 # must be exercised by a differential/witness test — a rule whose
 # 'applies' never fires under test is an unsound-rewrite time bomb.  A

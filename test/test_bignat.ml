@@ -110,6 +110,13 @@ let test_parity () =
 let test_to_int () =
   Alcotest.(check (option int)) "roundtrip" (Some 123456) (B.to_int_opt (bi 123456));
   Alcotest.(check (option int)) "overflow" None (B.to_int_opt (B.pow2 80));
+  Alcotest.(check (option int)) "max_int" (Some max_int) (B.to_int_opt (bi max_int));
+  Alcotest.(check (option int)) "max_int + 1" None
+    (B.to_int_opt (B.succ (bi max_int)));
+  (* three limbs that wrap past 2^63 back to a small positive int *)
+  Alcotest.(check (option int)) "2^63" None (B.to_int_opt (B.pow2 63));
+  Alcotest.(check (option int)) "10^19 - 1" None
+    (B.to_int_opt (B.of_string "9999999999999999999"));
   Alcotest.(check int) "exn ok" 7 (B.to_int_exn (bi 7))
 
 let test_gcd_lcm_factorial () =

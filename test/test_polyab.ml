@@ -90,6 +90,18 @@ let test_diff () =
         (Polyab.agrees_with_eval ~input:b e2 a2 ~n:(n + a2.Polyab.threshold)))
     [ 1; 2; 4 ]
 
+let test_let_shadows_input () =
+  (* the body's [B] is the let-bound B×B, not the input B_n: the pair
+     <a, a> occurs n^2 times *)
+  let e = Expr.Let (b, Expr.(Var b *** Var b), Expr.Var b) in
+  check_agreement e;
+  let a = analyze e in
+  (match Polyab.polynomial_of a (Value.tuple [ Value.atom "a"; Value.atom "a" ]) with
+  | Some p -> Alcotest.check poly "shadowed input squares" (Poly.mul Poly.x Poly.x) p
+  | None -> Alcotest.fail "missing tuple");
+  Alcotest.(check bool) "no entry for the unshadowed input" true
+    (Option.is_none (Polyab.polynomial_of a t_a))
+
 let test_max_inter_dedup () =
   check_agreement Expr.(Var b ||| (Var b ++ Var b));
   check_agreement Expr.(Var b &&& (Var b ++ Var b));
@@ -183,6 +195,7 @@ let () =
           Alcotest.test_case "union and product" `Quick test_union_product;
           Alcotest.test_case "difference" `Quick test_diff;
           Alcotest.test_case "max/inter/dedup" `Quick test_max_inter_dedup;
+          Alcotest.test_case "let shadows the input" `Quick test_let_shadows_input;
           Alcotest.test_case "map and select" `Quick test_map_select;
           Alcotest.test_case "eventual monotonicity (Prop 4.5)" `Quick
             test_bag_even_shape;

@@ -393,6 +393,136 @@ let test_store_replication_api () =
 
 (* --- cache ----------------------------------------------------------------- *)
 
+(* --- wait_change: woken by publish, timed by the store's timer ---------- *)
+
+(* [publish] runs on another thread after a short delay; the waiter must
+   return true long before its 10 s timeout. *)
+let check_wakes what st publish =
+  let seen = Store.log_seq st in
+  let th =
+    Thread.create
+      (fun () ->
+        Unix.sleepf 0.1;
+        publish ())
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let woke = Store.wait_change st ~seen ~timeout_s:10.0 in
+  let dt = Unix.gettimeofday () -. t0 in
+  Thread.join th;
+  Alcotest.(check bool) (what ^ ": woken by the publish") true woke;
+  if dt >= 1.0 then Alcotest.failf "%s: woke after %.3f s" what dt
+
+let ok_or_fail = function Ok () -> () | Error m -> Alcotest.fail m
+
+let test_store_wait_wakes_on_publish () =
+  let p = Store.open_store ~dir:None ~seed:(seed ()) () in
+  let f = Store.open_store ~dir:None () in
+  Fun.protect
+    ~finally:(fun () ->
+      Store.close p;
+      Store.close f)
+    (fun () ->
+      check_wakes "apply" p (fun () ->
+          ok_or_fail (Store.apply p (Store.Def ("Z", Ty.relation 1, rel1_of [ "z" ]))));
+      check_wakes "install_snapshot" f (fun () ->
+          let db, seq = Store.state p in
+          ok_or_fail (Store.install_snapshot f db ~seq));
+      check_wakes "apply_replicated" f (fun () ->
+          ok_or_fail
+            (Store.apply_replicated f ~seq:(Store.log_seq f + 1)
+               (Store.Def ("Y", Ty.relation 1, rel1_of [ "y" ]))));
+      (* a record already past [seen] answers at once *)
+      Alcotest.(check bool) "already changed" true
+        (Store.wait_change f ~seen:0 ~timeout_s:10.0))
+
+let test_store_wait_times_out () =
+  let st = Store.open_store ~dir:None ~seed:(seed ()) () in
+  Fun.protect
+    ~finally:(fun () -> Store.close st)
+    (fun () ->
+      let seen = Store.log_seq st in
+      List.iter
+        (fun timeout_s ->
+          let t0 = Unix.gettimeofday () in
+          let woke = Store.wait_change st ~seen ~timeout_s in
+          let dt = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool) "idle wait reports no change" false woke;
+          if dt < timeout_s || dt > timeout_s +. 1.0 then
+            Alcotest.failf "a %.2f s wait returned after %.3f s" timeout_s dt)
+        (* a later deadline first, then an earlier one the timer must
+           re-plan for *)
+        [ 0.4; 0.15 ];
+      (* two waiters with different deadlines each return at their own *)
+      let late = ref 0. in
+      let th =
+        Thread.create
+          (fun () ->
+            let t0 = Unix.gettimeofday () in
+            ignore (Store.wait_change st ~seen ~timeout_s:0.6);
+            late := Unix.gettimeofday () -. t0)
+          ()
+      in
+      let t0 = Unix.gettimeofday () in
+      Alcotest.(check bool) "early waiter" false
+        (Store.wait_change st ~seen ~timeout_s:0.2);
+      let early = Unix.gettimeofday () -. t0 in
+      Thread.join th;
+      if early < 0.2 || early > 0.55 then
+        Alcotest.failf "the 0.2 s waiter returned after %.3f s" early;
+      if !late < 0.6 then
+        Alcotest.failf "the 0.6 s waiter returned after %.3f s" !late)
+
+(* Threads of this process, as the kernel lists them ([None] off Linux). *)
+let os_threads () =
+  match Sys.readdir "/proc/self/task" with
+  | tasks -> Some (Array.length tasks)
+  | exception Sys_error _ -> None
+
+(* Joined threads can linger in the task list for a moment: sample until
+   the count holds still. *)
+let settled_threads () =
+  let rec go prev k =
+    Unix.sleepf 0.05;
+    let n = os_threads () in
+    if n = prev || k = 0 then n else go n (k - 1)
+  in
+  go (os_threads ()) 40
+
+let test_store_close_stops_timer () =
+  (* the first thread a process creates also starts the runtime's tick
+     thread, which stays: start it before counting *)
+  Thread.join (Thread.create ignore ());
+  let before = settled_threads () in
+  let st = Store.open_store ~dir:None ~seed:(seed ()) () in
+  let seen = Store.log_seq st in
+  (* a waiter parked on a 10 s deadline keeps the timer armed *)
+  let result = ref None in
+  let th =
+    Thread.create
+      (fun () -> result := Some (Store.wait_change st ~seen ~timeout_s:10.0))
+      ()
+  in
+  Unix.sleepf 0.1;
+  (match (before, os_threads ()) with
+  | Some b, Some n ->
+      (* the waiter and the timer *)
+      Alcotest.(check bool) "the first wait starts a timer thread" true (n >= b + 2)
+  | _ -> ());
+  let t0 = Unix.gettimeofday () in
+  Store.close st;
+  let dt = Unix.gettimeofday () -. t0 in
+  Thread.join th;
+  if dt > 1.0 then Alcotest.failf "close took %.3f s with a timer armed" dt;
+  Alcotest.(check (option bool)) "close wakes the waiter" (Some false) !result;
+  Alcotest.(check bool) "a closed store does not block" false
+    (Store.wait_change st ~seen ~timeout_s:10.0);
+  match before with
+  | None -> ()
+  | Some b ->
+      wait_until ~timeout_s:5.0 ~what:"the timer thread to exit" (fun () ->
+          match os_threads () with Some n -> n <= b | None -> false)
+
 let test_cache_basics () =
   let db = seed () in
   let c = Cache.create ~capacity:2 () in
@@ -684,6 +814,43 @@ let test_server_writes_and_cache () =
         (contains metrics "balg_server_cache_rel_invalidations_total_S");
       Alcotest.(check bool) "dump renders the store" true
         (contains (req c "dump") "bag R : {{<U>}}");
+      Client.close c)
+
+(* A hit answers with the reply text the miss stored: byte for byte the
+   miss reply, which is the reference rendering. *)
+let hits () =
+  Metrics.counter_value
+    (Metrics.counter Metrics.default "balg_server_cache_hits_total"
+       ~help:"Result-cache lookups answered without evaluation")
+
+let test_server_cached_reply_identical () =
+  with_server (fun sv ->
+      let c = connect sv in
+      Alcotest.(check string) "def" "ok defined N"
+        (req c
+           "def bag N : {{<U, {{U}}>}} = {{ <'a, {{'x:3, 'y}}>:2, <'b, {{}}>, \
+            <'c, {{'x}}>:9223372036854775808 }}");
+      let db = Store.snapshot (Server.store sv) in
+      List.iter
+        (fun q ->
+          let miss = req c ("eval " ^ q) in
+          Alcotest.(check string) (q ^ ": miss") (reference db q) miss;
+          let h0 = hits () in
+          let hit = req c ("eval " ^ q) in
+          Alcotest.(check int) (q ^ ": answered from the cache") (h0 + 1) (hits ());
+          Alcotest.(check string) (q ^ ": hit == miss") miss hit)
+        [ "N"; "N ++ N"; "G * G"; "powerset(R)"; "nest[1](G)"; "R -- R" ];
+      (* a def of a relation the cached query reads: the next eval is a
+         miss that renders the new contents *)
+      let q = "G * G" in
+      let before = req c ("eval " ^ q) in
+      Alcotest.(check string) "redef G" "ok defined G"
+        (req c "def bag G : {{<U, U>}} = {{ <'a,'a>:2 }}");
+      let after = req c ("eval " ^ q) in
+      Alcotest.(check string) "new text after the def"
+        (reference (Store.snapshot (Server.store sv)) q) after;
+      Alcotest.(check bool) "the text changed" false (String.equal before after);
+      Alcotest.(check string) "and is cached in turn" after (req c ("eval " ^ q));
       Client.close c)
 
 let test_server_admission_rejects () =
@@ -1351,6 +1518,12 @@ let () =
           Alcotest.test_case "wal.append fault" `Quick
             test_store_wal_append_fault;
           Alcotest.test_case "compaction" `Quick test_store_compact;
+          Alcotest.test_case "wait_change wakes on publish" `Quick
+            test_store_wait_wakes_on_publish;
+          Alcotest.test_case "wait_change times out" `Quick
+            test_store_wait_times_out;
+          Alcotest.test_case "close stops the timer" `Quick
+            test_store_close_stops_timer;
           Alcotest.test_case "replication api" `Quick
             test_store_replication_api;
         ] );
@@ -1378,6 +1551,8 @@ let () =
           Alcotest.test_case "protocol roundtrip" `Quick test_server_roundtrip;
           Alcotest.test_case "writes and cache" `Quick
             test_server_writes_and_cache;
+          Alcotest.test_case "cached reply identical" `Quick
+            test_server_cached_reply_identical;
           Alcotest.test_case "admission rejects" `Quick
             test_server_admission_rejects;
           Alcotest.test_case "http endpoints" `Quick test_server_http;

@@ -78,6 +78,122 @@ let test_pp () =
   let bag = Value.bag_of_assoc [ (t2 a b, B.of_int 3); (a, B.one) ] in
   Alcotest.(check string) "rendering" "{{'a, <'a, 'b>:3}}" (Value.to_string bag)
 
+(* --- renderer differential ---------------------------------------------
+
+   [Value.to_string] writes into one Buffer.  The Format renderer it
+   replaced is kept here as the reference: the two must agree byte for
+   byte, since replies, WAL records and dumps are all this text and the
+   end-to-end reply checks render with [Value.to_string] themselves. *)
+
+let rec ref_pp ppf v =
+  match Value.view v with
+  | Value.Atom s -> Format.fprintf ppf "'%s" s
+  | Value.Tuple vs ->
+      Format.fprintf ppf "<%a>"
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+           ref_pp)
+        vs
+  | Value.Bag pairs ->
+      let pp_pair ppf (v, c) =
+        if B.is_one c then ref_pp ppf v
+        else Format.fprintf ppf "%a:%a" ref_pp v B.pp c
+      in
+      Format.fprintf ppf "{{%a}}"
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+           pp_pair)
+        pairs
+
+let ref_to_string v = Format.asprintf "%a" ref_pp v
+
+let check_render what v =
+  Alcotest.(check string) what (ref_to_string v) (Value.to_string v);
+  let buf = Buffer.create 1 in
+  Buffer.add_string buf "x=";
+  Value.add_to_buffer buf v;
+  Alcotest.(check string) (what ^ " (appended)") ("x=" ^ ref_to_string v)
+    (Buffer.contents buf)
+
+let beyond_max_int = B.succ (B.of_int max_int)
+
+let fixed_values =
+  let e = Value.empty_bag in
+  let cnt v n = Value.bag_of_assoc [ (v, n) ] in
+  [
+    ("empty bag", e);
+    ("atom", a);
+    ("bag of the empty bag", Value.bag_of_list [ e ]);
+    ("bag of bags", Value.bag_of_list [ e; Value.bag_of_list [ a; b; b ]; e ]);
+    ("tuple holding bags", t2 (Value.bag_of_list [ a ]) (t2 e (Value.bag_of_list [ b; b ])));
+    ("empty tuple", Value.tuple []);
+    ("count 1", cnt a B.one);
+    ("count 2", cnt (t2 a b) B.two);
+    ("count max_int", cnt a (B.of_int max_int));
+    ("count max_int + 1", cnt a beyond_max_int);
+    ("count 2^70", Value.bag_of_assoc [ (a, B.pow2 70); (b, B.one); (t2 a a, B.of_int 7) ]);
+    ("nested counts beyond max_int",
+      cnt (cnt (t2 a (cnt b (B.pow2 90))) beyond_max_int) (B.of_int 3));
+    ("text past the first buffer",
+      Value.bag_of_list
+        (List.init 5000 (fun i -> t2 (Value.atom (Printf.sprintf "atom%05d" i)) a)));
+  ]
+
+let test_render_fixed () =
+  List.iter (fun (what, v) -> check_render what v) fixed_values
+
+let render_types =
+  let open Ty in
+  [
+    Atom;
+    relation 1;
+    relation 3;
+    Bag (Bag Atom);
+    Bag (Tuple [ Atom; Bag (Tuple [ Atom; Atom ]) ]);
+    Tuple [ Bag Atom; Atom; Bag (Bag (Tuple [ Atom ])) ];
+    Bag (Bag (Bag Atom));
+  ]
+
+let test_render_generated () =
+  let rng = Random.State.make [| 2024 |] in
+  List.iteri
+    (fun ti ty ->
+      for k = 1 to 60 do
+        let v =
+          Baggen.Genval.of_type rng ~n_atoms:4 ~width:5 ~max_count:(1 + (k mod 4)) ty
+        in
+        check_render (Printf.sprintf "type %d, value %d" ti k) v
+      done)
+    render_types
+
+(* [Expr.pp] prints literals through [Value.pp]; its text is unchanged. *)
+let test_render_exprs () =
+  let rng = Random.State.make [| 77 |] in
+  for k = 1 to 40 do
+    let v =
+      Baggen.Genval.of_type rng ~n_atoms:3 ~width:4 ~max_count:3
+        (Ty.Bag (Ty.Tuple [ Ty.Atom; Ty.Bag Ty.Atom ]))
+    in
+    let w = Value.bag_of_assoc [ (t2 a b, B.pow2 (60 + k)) ] in
+    let lit x = Expr.Lit (x, Ty.relation 2) in
+    let rv = ref_to_string v and rw = ref_to_string w in
+    let cases =
+      if Value.is_empty_bag v then []
+      else
+        [
+          (lit v, rv);
+          (Expr.UnionAdd (lit v, Expr.Var "R"), Printf.sprintf "(%s ++ R)" rv);
+          (Expr.Product (lit w, lit v), Printf.sprintf "(%s * %s)" rw rv);
+          (Expr.Sing (lit w), Printf.sprintf "sing(%s)" rw);
+          (Expr.Tuple [ lit v; Expr.Var "x"; lit w ], Printf.sprintf "<%s, x, %s>" rv rw);
+        ]
+    in
+    List.iter
+      (fun (e, expected) ->
+        Alcotest.(check string) (Printf.sprintf "query %d" k) expected (Expr.to_string e))
+      cases
+  done
+
 (* --- order properties -------------------------------------------------- *)
 
 let rng = Random.State.make [| 42 |]
@@ -143,6 +259,12 @@ let () =
           Alcotest.test_case "type measures" `Quick test_ty_measures;
           Alcotest.test_case "atoms" `Quick test_atoms;
           Alcotest.test_case "pretty printing" `Quick test_pp;
+        ] );
+      ( "rendering",
+        [
+          Alcotest.test_case "fixed values" `Quick test_render_fixed;
+          Alcotest.test_case "generated values" `Quick test_render_generated;
+          Alcotest.test_case "queries with literals" `Quick test_render_exprs;
         ] );
       ("order properties", props);
     ]

@@ -247,6 +247,75 @@ let test_plan_labels () =
       Alcotest.(check bool) "rendering mentions engines" true
         (String.length s > 0)
 
+(* An empty relation imports as a zero-row vector with no column shape;
+   every kernel must still run vectorized on it and give the zero-row
+   result, not demote the node to the tree path. *)
+let test_empty_operands_stay_vec () =
+  let r =
+    Value.bag_of_list
+      [
+        Value.tuple [ Value.atom "a"; Value.atom "b" ];
+        Value.tuple [ Value.atom "b"; Value.atom "b" ];
+      ]
+  in
+  let env = Eval.env_of_list [ ("R", r); ("E", Value.empty_bag) ] in
+  List.iter
+    (fun text ->
+      let q = Baglang.Parser.expr_of_string text in
+      let plan = ref None in
+      (match Veval.run ~report:(fun p -> plan := Some p) env q with
+      | Ok v ->
+          let t = Expect.ok (Eval.run env q) in
+          Alcotest.check value (text ^ ": matches tree") t v;
+          Alcotest.(check int) (text ^ ": hash") (Value.hash t) (Value.hash v)
+      | Error _ -> Alcotest.fail (text ^ ": unexpected verdict"));
+      match !plan with
+      | None -> Alcotest.fail "no plan reported"
+      | Some p ->
+          let rec fallbacks p =
+            (if String.equal p.Veval.p_engine "tree (fallback)" then
+               [ p.Veval.p_op ]
+             else [])
+            @ List.concat_map fallbacks p.Veval.p_children
+          in
+          Alcotest.(check (list string)) (text ^ ": no fallback") []
+            (fallbacks p);
+          Alcotest.(check bool)
+            (text ^ ": root runs vectorized") true
+            (String.starts_with ~prefix:"vec:" p.Veval.p_engine))
+    [
+      "R * E";
+      "E * R";
+      "select(p -> p.2 == p.3, R * E)";
+      "join[2,1](R, E)";
+      "join[2,1](E, R)";
+      "(select(p -> p.1 == 'z, R) * R) ++ R";
+      "select(p -> p.1 == p.2, E)";
+      "pi[2](E)";
+      "nest[1](E)";
+      "unnest[2](nest[1](E))";
+      "destroy(map(x -> x.2, nest[1](E)))";
+    ]
+
+(* Counts in [2^63, 10^19) once wrapped to small machine ints on import,
+   so the vec engine dropped or miscounted those rows. *)
+let test_counts_past_2_63 () =
+  let g =
+    Value.bag_of_assoc
+      [
+        (Value.tuple [ Value.atom "a" ], B.pow2 63);
+        (Value.tuple [ Value.atom "b" ], B.of_string "9999999999999999999");
+        (Value.tuple [ Value.atom "c" ], B.two);
+      ]
+  in
+  let env = Eval.env_of_list [ ("G", g) ] in
+  List.iter
+    (fun text ->
+      let q = Baglang.Parser.expr_of_string text in
+      let t = Expect.ok (Eval.run env q) and v = Expect.ok (Veval.run env q) in
+      Alcotest.check value text t v)
+    [ "G"; "G ++ G"; "G -- sing(<'c>)"; "G * G"; "dedup(G)" ]
+
 (* --- kernels against Bag, directly ----------------------------------------
 
    Each Vec kernel, run through [to_value], must equal its Bag counterpart
@@ -379,6 +448,9 @@ let () =
             test_pool_chunks_identical;
           Alcotest.test_case "steps == fuel" `Quick test_steps_equal_fuel;
           Alcotest.test_case "plan labels" `Quick test_plan_labels;
+          Alcotest.test_case "empty operands stay vectorized" `Quick
+            test_empty_operands_stay_vec;
+          Alcotest.test_case "counts past 2^63" `Quick test_counts_past_2_63;
           Alcotest.test_case "kernels == Bag on long chains and spills"
             `Quick test_kernels_against_bag;
         ] );
