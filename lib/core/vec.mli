@@ -28,6 +28,15 @@
     heterogeneous bags (and non-bag values) raise {!Unsupported}, which
     {!Veval} catches to fall back to the tree evaluator for that subtree.
 
+    {b Inputs are read-only.}  No kernel writes into an input vector or
+    into any array reachable from it; a result may share arrays with an
+    input ({!union_add} with an empty side returns the other operand,
+    {!map_scalar} keeps its count column).  One vector can therefore
+    serve many evaluations on many domains at once, once it has been
+    published through a synchronising hand-off (balgd imports each
+    relation once and shares it this way).  [scripts/lint.sh] and
+    [test/test_veval.ml] hold the rule.
+
     {b Safety.}  This is the only module allowed to use
     [Array.unsafe_get]/[unsafe_set] (enforced by [scripts/lint.sh]);
     every use carries a same-line [bounds:] justification and the

@@ -65,7 +65,12 @@ let plan_to_string p =
    both conversion directions memoised.  States are domain-private (see
    the module comment), so plain mutation suffices. *)
 
-type vec_state = VUnknown | VNo | VYes of Vec.t
+type vec_state =
+  | VUnknown
+  | VNo
+  | VYes of Vec.t
+  | VShared of (unit -> Vec.t option)
+      (** a relation whose columns the caller keeps (see [run]) *)
 
 type hv = { mutable hval : Value.t option; mutable hvec : vec_state }
 
@@ -77,34 +82,47 @@ let as_value h =
   | Some v -> v
   | None ->
       let v =
-        match h.hvec with VYes x -> Vec.to_value x | VNo | VUnknown -> assert false
+        match h.hvec with
+        | VYes x -> Vec.to_value x
+        | VNo | VUnknown | VShared _ -> assert false
       in
       h.hval <- Some v;
       v
 
 (* [None] when the value does not fit the columnar layout; the verdict is
-   cached so a scalar or heterogeneous binding is probed only once. *)
+   cached so a scalar or heterogeneous binding is probed only once.  A
+   shared relation asks its owner instead of importing. *)
 let as_vec h =
   match h.hvec with
   | VYes x -> Some x
   | VNo -> None
-  | VUnknown ->
+  | (VUnknown | VShared _) as s ->
       let r =
-        match h.hval with
-        | Some v when Value.is_bag v -> (
+        match (s, h.hval) with
+        | VShared columns, _ -> columns ()
+        | _, Some v when Value.is_bag v -> (
             match Vec.of_value v with
-            | x -> VYes x
-            | exception Vec.Unsupported _ -> VNo)
-        | Some _ | None -> VNo
+            | x -> Some x
+            | exception Vec.Unsupported _ -> None)
+        | _, (Some _ | None) -> None
       in
-      h.hvec <- r;
-      (match r with VYes x -> Some x | VNo | VUnknown -> None)
+      h.hvec <- (match r with Some x -> VYes x | None -> VNo);
+      r
 
 module Env = Eval.Env
 
 type henv = hv Env.t
 
-let lift_env (env : Eval.env) : henv = Env.map of_val env
+(* With [columns], every relation's columnar form comes from the caller's
+   memo on its first vec read; kernels only read their inputs, so one
+   vector serves every run that shares the relation. *)
+let lift_env ?columns (env : Eval.env) : henv =
+  match columns with
+  | None -> Env.map of_val env
+  | Some columns ->
+      Env.mapi
+        (fun x v -> { hval = Some v; hvec = VShared (fun () -> columns x v) })
+        env
 
 (* ------------------------------------------------------------------ *)
 (* Governance: Eval's state, fuel charge, boxed-result observation and
@@ -444,15 +462,15 @@ let metrics =
     peak_support = None;
   }
 
-let run ?budget ?limits ?telemetry ?pool ?report env e =
+let run ?budget ?limits ?telemetry ?pool ?report ?columns env e =
   let compiled, plan = compile { ctr = ref 0; telemetry } ~parent:0 e in
   Fun.protect
     ~finally:(fun () -> match report with Some f -> f plan | None -> ())
     (fun () ->
       Eval.govern metrics ?budget ?limits ?telemetry ?pool ~engine:"vec" e
-        (fun st -> as_value (compiled st (lift_env env))))
+        (fun st -> as_value (compiled st (lift_env ?columns env))))
 
-let run_engine engine ?budget ?limits ?telemetry ?pool ?report env e =
+let run_engine engine ?budget ?limits ?telemetry ?pool ?report ?columns env e =
   match engine with
   | Tree -> Eval.run ?budget ?limits ?telemetry ?pool env e
-  | Vec -> run ?budget ?limits ?telemetry ?pool ?report env e
+  | Vec -> run ?budget ?limits ?telemetry ?pool ?report ?columns env e

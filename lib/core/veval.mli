@@ -67,11 +67,20 @@ val run :
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
   ?report:(plan -> unit) ->
+  ?columns:(string -> Value.t -> Vec.t option) ->
   Eval.env ->
   Expr.t ->
   (Value.t, Budget.exhaustion) result
 (** [?report] receives the executed plan on every exit path — ok,
-    verdict, or exception — after engine labels are final. *)
+    verdict, or exception — after engine labels are final.
+
+    [?columns name v] supplies the columnar form of the environment
+    relation [name] (bound to [v]) the first time a kernel reads it, or
+    [None] when [v] does not fit the columnar layout.  Without it every
+    run imports the relations it reads with {!Vec.of_value}.  The vector
+    may be shared with other runs on other domains: kernels only read
+    their inputs, and the caller must publish the vector through a
+    synchronising hand-off (a mutex) so its atom codes decode. *)
 
 (** {1 Dispatch}
 
@@ -86,6 +95,7 @@ val run_engine :
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
   ?report:(plan -> unit) ->
+  ?columns:(string -> Value.t -> Vec.t option) ->
   Eval.env ->
   Expr.t ->
   (Value.t, Budget.exhaustion) result

@@ -373,8 +373,9 @@ let handle_eval sv r q =
   | e -> (
       (* snapshot isolation: this request evaluates against the store as
          of now, no matter how many writes land while it waits or runs *)
-      let db = Store.snapshot sv.store in
-      match Typecheck.infer (Bagdb.type_env db) e with
+      let view = Store.view sv.store in
+      let db = view.Store.db in
+      match Typecheck.infer view.Store.types e with
       | exception Typecheck.Type_error msg -> fail r (one_line ("err type: " ^ msg))
       | ty -> (
           let engine = r.sess.s_engine and mode = r.sess.s_mode in
@@ -405,7 +406,7 @@ let handle_eval sv r q =
                     let plan, decisions =
                       match
                         Opt.optimize ~vals:(db_vals db) ~engine mode
-                          (Bagdb.type_env db) e
+                          view.Store.types e
                       with
                       | p, rep -> (p, Some rep.Opt.r_decisions)
                       | exception _ -> (e, None)
@@ -418,7 +419,7 @@ let handle_eval sv r q =
                     let outcome =
                       match
                         Veval.run_engine engine ~budget ?report
-                          (Bagdb.value_env db) plan
+                          ~columns:view.Store.columns view.Store.values plan
                       with
                       | Ok v -> `Ok (v, ty)
                       | Error x -> `Verdict x
@@ -738,8 +739,13 @@ let handle_conn sv id fd =
 
 let accept_loop sv =
   while not sv.stopping do
+    (* replies and shipped records are single small writes: TCP_NODELAY
+       sends each at once instead of holding it for the peer's delayed
+       ACK *)
     match Unix.accept sv.listen_fd with
     | fd, _ ->
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true
+         with Unix.Unix_error _ -> ());
         if Fault.fire accept_site then begin
           (* injected accept failure: drop the connection on the floor *)
           Metrics.incr m_session_faults;

@@ -58,11 +58,33 @@ let g_log_seq =
   Metrics.gauge Metrics.default "balg_server_log_seq"
     ~help:"Durable log offset (global sequence of the last flushed record)"
 
+(* One relation value's columnar form: imported by the first vec read
+   that asks for it, outside the store mutex, and then shared by every
+   read of the same value on any domain.  [cmu] serialises the import
+   and is the hand-off that makes the vector (and the atom codes it
+   names) visible to the next reader. *)
+type columns = {
+  value : Value.t;
+  cmu : Mutex.t;
+  mutable built : Vec.t option option;  (* [Some None]: not columnar *)
+}
+
+module Names = Map.Make (String)
+
+type view = {
+  db : Bagdb.t;
+  types : Typecheck.env;
+  values : Eval.env;
+  columns : string -> Value.t -> Vec.t option;
+}
+
 type t = {
   dir : string option;
   compact_bytes : int;
   mu : Mutex.t;
   mutable db : Bagdb.t;
+  mutable cols : columns Names.t;  (* one entry per relation of [db] *)
+  mutable view : view option;  (* of [db]; built by the first reader *)
   mutable revision : int;
   mutable wal : out_channel option;
   mutable wal_bytes : int;
@@ -104,6 +126,34 @@ let apply_op db = function
           db
       else db @ [ (n, ty, v) ]
   | Drop n -> List.filter (fun (m, _, _) -> not (String.equal m n)) db
+
+let import v =
+  match Vec.of_value v with x -> Some x | exception Vec.Unsupported _ -> None
+
+let columns_of v = { value = v; cmu = Mutex.create (); built = None }
+
+let cols_of_db db =
+  List.fold_left (fun m (n, _, v) -> Names.add n (columns_of v) m) Names.empty db
+
+(* A def gets fresh, unbuilt columns and a drop forgets them; every other
+   relation keeps the columns it has. *)
+let cols_after cols = function
+  | Def (n, _, v) -> Names.add n (columns_of v) cols
+  | Drop n -> Names.remove n cols
+
+(* A value that is not the one [cols] holds for [name] (a caller's own
+   environment) is imported for this read only. *)
+let lookup_columns cols name v =
+  match Names.find_opt name cols with
+  | Some c when c.value == v ->
+      Mutex.protect c.cmu (fun () ->
+          match c.built with
+          | Some r -> r
+          | None ->
+              let r = import v in
+              c.built <- Some r;
+              r)
+  | Some _ | None -> import v
 
 let validate db = function
   | Def _ -> Ok ()
@@ -257,6 +307,8 @@ let open_store ?(compact_bytes = 1 lsl 20) ?(seed = []) ~dir () =
         compact_bytes;
         mu = Mutex.create ();
         db = seed;
+        cols = cols_of_db seed;
+        view = None;
         revision = 0;
         wal = None;
         wal_bytes = 0;
@@ -317,6 +369,8 @@ let open_store ?(compact_bytes = 1 lsl 20) ?(seed = []) ~dir () =
         compact_bytes;
         mu = Mutex.create ();
         db;
+        cols = cols_of_db db;
+        view = None;
         revision = 0;
         wal = Some (open_wal_channel d);
         wal_bytes = keep;
@@ -339,6 +393,23 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let snapshot t = locked t (fun () -> t.db)
+
+let view t =
+  locked t (fun () ->
+      match t.view with
+      | Some v -> v
+      | None ->
+          let v =
+            {
+              db = t.db;
+              types = Bagdb.type_env t.db;
+              values = Bagdb.value_env t.db;
+              columns = lookup_columns t.cols;
+            }
+          in
+          t.view <- Some v;
+          v)
+
 let state t = locked t (fun () -> (t.db, t.seq))
 let revision t = locked t (fun () -> t.revision)
 let log_seq t = locked t (fun () -> t.seq)
@@ -434,6 +505,17 @@ let append_locked t record =
               Metrics.incr m_wal_faults;
               Error ("wal append failed: " ^ m ^ "; store is read-only")))
 
+(* Make [db] (with its columns [cols]) the contents at offset [seq] and
+   wake the waiters.  Called with the mutex held. *)
+let publish_locked t db cols seq =
+  t.db <- db;
+  t.cols <- cols;
+  t.view <- None;
+  t.seq <- seq;
+  t.revision <- t.revision + 1;
+  Metrics.set_gauge g_log_seq (float_of_int seq);
+  Condition.broadcast t.changed
+
 (* Frame, append, publish one record at offset [seq].  Called with the
    mutex held, after validation/sequencing. *)
 let commit_locked t seq op =
@@ -441,12 +523,8 @@ let commit_locked t seq op =
   match append_locked t (Frame.encode ~seq payload) with
   | Error _ as e -> e
   | Ok () ->
-      t.db <- apply_op t.db op;
-      t.seq <- seq;
       t.tail <- (seq, payload) :: t.tail;
-      t.revision <- t.revision + 1;
-      Metrics.set_gauge g_log_seq (float_of_int seq);
-      Condition.broadcast t.changed;
+      publish_locked t (apply_op t.db op) (cols_after t.cols op) seq;
       if t.wal_bytes >= t.compact_bytes then
         (* best-effort: a failed compaction keeps the (intact) longer
            WAL, it does not fail the write *)
@@ -488,12 +566,14 @@ let install_snapshot t db ~seq =
         match seal_locked t db seq with
         | Error _ as e -> e
         | Ok () ->
-            t.db <- db;
-            t.seq <- seq;
-            t.revision <- t.revision + 1;
-            Metrics.set_gauge g_log_seq (float_of_int seq);
-            Condition.broadcast t.changed;
+            publish_locked t db (cols_of_db db) seq;
             Ok ())
+
+(* The records of a newest-first list above [after], oldest first: a walk
+   over just the records returned, not the whole tail. *)
+let rec newer_than after acc = function
+  | ((s, _) as r) :: rest when s > after -> newer_than after (r :: acc) rest
+  | _ -> acc
 
 let read_from ?(synced = false) t ~after =
   locked t (fun () ->
@@ -508,7 +588,7 @@ let read_from ?(synced = false) t ~after =
       if after < t.base || ((not synced) && after = 0) then
         `Snapshot (t.db, t.seq)
       else
-        `Records (List.filter (fun (s, _) -> s > after) (List.rev t.tail)))
+        `Records (newer_than after [] t.tail))
 
 (* The ship loop's subscription point.  A waiter sleeps on [changed],
    which every publish broadcasts, so a record wakes it at once.  For the

@@ -61,6 +61,29 @@ val snapshot : t -> Bagdb.t
 (** The current contents — an immutable value, safe to evaluate against
     from any thread or domain while writes continue. *)
 
+(** {1 The per-revision view} *)
+
+type view = {
+  db : Bagdb.t;  (** the contents, as {!snapshot} returns them *)
+  types : Typecheck.env;  (** [Bagdb.type_env db] *)
+  values : Eval.env;  (** [Bagdb.value_env db] *)
+  columns : string -> Value.t -> Vec.t option;
+      (** [columns name v]: the columnar form of relation [name] when [v]
+          is its value in [db], imported on the first call and shared by
+          every later one — the [?columns] argument of {!Veval.run}.
+          [None] when [v] does not fit the columnar layout.  Any other
+          [v] is imported for that call only. *)
+}
+
+val view : t -> view
+(** The current contents with what every read derives from them, built
+    once per revision by the first reader that asks.  A relation's
+    columns live as long as its value does: a [def] gives the relation
+    fresh, unbuilt columns, a [drop] forgets them, {!install_snapshot}
+    replaces them all, and every other relation keeps the columns it had.
+    Columns are imported outside the store mutex, each under its own
+    lock, so a write never waits for an import. *)
+
 val state : t -> Bagdb.t * int
 (** Contents and log offset, captured atomically — the pair a follower
     bootstrap needs. *)

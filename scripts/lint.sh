@@ -151,6 +151,31 @@ if [ -n "$bad" ]; then
   fail=1
 fi
 
+# shared columns: balgd keeps one vector per relation value and hands it
+# to every run on every worker domain, so no kernel in lib/core/vec.ml
+# may write into its inputs.  Kernels write only arrays they allocate,
+# under local names; an element write or fill through a field of a
+# vector, a segment or a count column (x.small.(i) <- ..., Array.fill
+# x.off ...) writes into an operand.  test_veval.ml checks at run time
+# that every kernel leaves a shared input bit-identical.
+bad=$(grep -nE '\.(small|off|elems|ecnt|cnts|data)\.\([^)]*\)[[:space:]]*<-|Array\.(fill|sort|stable_sort) [[:alnum:]_'"'"']*\.' lib/core/vec.ml || true)
+if [ -n "$bad" ]; then
+  echo "lint: a vec kernel writes into an input vector (kernels write only arrays they allocate):"
+  echo "$bad" | sed 's/^/  /'
+  fail=1
+fi
+
+# Nagle off on every accepted socket: a reply or a shipped record is one
+# small write, and the delayed ACK of a busy peer would hold it back.
+# Every Unix.accept in lib/server sets TCP_NODELAY within three lines.
+bad=$(awk '/Unix\.accept/ { at = FILENAME ":" FNR; left = 4 }
+  left > 0 { if (/TCP_NODELAY/) left = 0; else if (--left == 0) print at }' lib/server/*.ml)
+if [ -n "$bad" ]; then
+  echo "lint: accepted sockets must set TCP_NODELAY right after Unix.accept:"
+  echo "$bad" | sed 's/^/  /'
+  fail=1
+fi
+
 # rewrite coverage: every named rule in the rewriter and the optimizer
 # must be exercised by a differential/witness test — a rule whose
 # 'applies' never fires under test is an unsound-rewrite time bomb.  A

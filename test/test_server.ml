@@ -142,6 +142,8 @@ let test_frame_torn () =
 
 (* --- store ----------------------------------------------------------------- *)
 
+let ok_or_fail = function Ok () -> () | Error m -> Alcotest.fail m
+
 let test_store_cow () =
   let st = Store.open_store ~dir:None ~seed:(seed ()) () in
   let before = Store.snapshot st in
@@ -161,6 +163,70 @@ let test_store_cow () =
   (match Store.apply st (Store.Drop "nope") with
   | Ok () -> Alcotest.fail "dropping an unknown bag must fail"
   | Error _ -> ());
+  Store.close st
+
+(* The per-revision view: built once per revision, and a relation's
+   columns are imported once and shared until that relation is written. *)
+let test_store_view_columns () =
+  let st = Store.open_store ~dir:None ~seed:(seed ()) () in
+  let rel view name =
+    match List.find_opt (fun (n, _, _) -> n = name) view.Store.db with
+    | Some (_, _, v) -> v
+    | None -> Alcotest.fail ("no relation " ^ name)
+  in
+  let cols view name =
+    match view.Store.columns name (rel view name) with
+    | Some x -> x
+    | None -> Alcotest.fail (name ^ " must be columnar")
+  in
+  let apply op = ok_or_fail (Store.apply st op) in
+  let v1 = Store.view st in
+  Alcotest.(check bool) "one view per revision" true (v1 == Store.view st);
+  let r1 = cols v1 "R" in
+  Alcotest.(check bool) "columns imported once" true (r1 == cols v1 "R");
+  Alcotest.(check bool) "columns hold the relation" true
+    (Value.equal (rel v1 "R") (Vec.to_value r1));
+  Alcotest.(check bool) "a value the view does not hold is imported apart"
+    true
+    (match v1.Store.columns "R" (rel1_of [ "a"; "b"; "b"; "c" ]) with
+    | Some x -> x != r1
+    | None -> false);
+  (* a def of another relation keeps R's columns *)
+  apply (Store.Def ("S", Ty.relation 1, rel1_of [ "s" ]));
+  let v2 = Store.view st in
+  Alcotest.(check bool) "a write starts a new view" false (v1 == v2);
+  Alcotest.(check bool) "R keeps its columns across a def of S" true
+    (r1 == cols v2 "R");
+  (* a def of R gives it fresh columns of the new contents *)
+  apply (Store.Def ("R", Ty.relation 1, rel1_of [ "n" ]));
+  let v3 = Store.view st in
+  let r3 = cols v3 "R" in
+  Alcotest.(check bool) "redefined R gets new columns" false (r1 == r3);
+  Alcotest.(check bool) "and imports them once" true (r3 == cols v3 "R");
+  Alcotest.(check bool) "new columns hold the new contents" true
+    (Value.equal (rel1_of [ "n" ]) (Vec.to_value r3));
+  (* a reader still holding the old view keeps its own columns *)
+  Alcotest.(check bool) "old view still reads the old R" true
+    (Value.equal (rel v1 "R") (Vec.to_value (cols v1 "R")));
+  (* drop, then re-def under the same name *)
+  apply (Store.Drop "R");
+  Alcotest.(check bool) "dropped R is gone from the view" false
+    (List.exists (fun (n, _, _) -> n = "R") (Store.view st).Store.db);
+  apply (Store.Def ("R", Ty.relation 1, rel1_of [ "m"; "m" ]));
+  let v5 = Store.view st in
+  Alcotest.(check bool) "re-defined R reads its new contents" true
+    (Value.equal (rel1_of [ "m"; "m" ]) (Vec.to_value (cols v5 "R")));
+  (* a snapshot install replaces every relation's columns *)
+  let g5 = cols v5 "G" in
+  let g = rel1_of [ "g" ] in
+  ok_or_fail
+    (Store.install_snapshot st [ ("G", Ty.relation 1, g) ] ~seq:(Store.log_seq st));
+  let v6 = Store.view st in
+  let g6 = cols v6 "G" in
+  Alcotest.(check bool) "installed G gets new columns" false (g5 == g6);
+  Alcotest.(check bool) "and imports them once" true (g6 == cols v6 "G");
+  Alcotest.(check bool) "installed G reads the snapshot" true
+    (Value.equal g (Vec.to_value g6));
   Store.close st
 
 let test_store_wal_roundtrip () =
@@ -412,8 +478,6 @@ let check_wakes what st publish =
   Thread.join th;
   Alcotest.(check bool) (what ^ ": woken by the publish") true woke;
   if dt >= 1.0 then Alcotest.failf "%s: woke after %.3f s" what dt
-
-let ok_or_fail = function Ok () -> () | Error m -> Alcotest.fail m
 
 let test_store_wait_wakes_on_publish () =
   let p = Store.open_store ~dir:None ~seed:(seed ()) () in
@@ -853,6 +917,40 @@ let test_server_cached_reply_identical () =
       Alcotest.(check string) "and is cached in turn" after (req c ("eval " ^ q));
       Client.close c)
 
+(* Shared columns never outlive their relation's value: with the vec
+   engine, a query that misses the cache after a def, or after a drop
+   and a re-def of the same name, reads the new contents. *)
+let test_server_vec_reads_follow_writes () =
+  with_server
+    ~tweak:(fun c -> { c with Server.engine = Veval.Vec; workers = 2 })
+    (fun sv ->
+      let c = connect sv in
+      let check_db src qs =
+        let db = Bagdb.parse src in
+        List.iter
+          (fun q -> Alcotest.(check string) q (reference db q) (req c ("eval " ^ q)))
+          qs
+      in
+      let q_a = "select(x -> x.1 == 'a, R ++ R)" in
+      check_db seed_src [ q_a; "R /\\ R" ];
+      Alcotest.(check string) "def" "ok defined R"
+        (req c "def bag R : {{<U>}} = {{ <'a>:5, <'n> }}");
+      let after_def =
+        "bag R : {{<U>}} = {{ <'a>:5, <'n> }}\n\
+         bag G : {{<U, U>}} = {{ <'a,'b>, <'b,'c> }}"
+      in
+      check_db after_def [ q_a; "select(x -> x.1 == 'n, R ++ R)"; "R /\\ R" ];
+      Alcotest.(check string) "drop" "ok dropped R" (req c "drop R");
+      Alcotest.(check bool) "dropped R is unbound" true
+        (starts_with "err type" (req c ("eval " ^ q_a)));
+      Alcotest.(check string) "re-def" "ok defined R"
+        (req c "def bag R : {{<U>}} = {{ <'a>, <'z>:3 }}");
+      check_db
+        "bag G : {{<U, U>}} = {{ <'a,'b>, <'b,'c> }}\n\
+         bag R : {{<U>}} = {{ <'a>, <'z>:3 }}"
+        [ q_a; "select(x -> x.1 == 'z, R ++ R)"; "R /\\ R" ];
+      Client.close c)
+
 let test_server_admission_rejects () =
   (* default_fuel far above the ceiling: every eval must be rejected with
      err busy — never evaluated past the ceiling *)
@@ -1089,6 +1187,51 @@ let test_repl_snapshot_bootstrap () =
       Client.close cf;
       Client.close c)
 
+let snapshots_installed () =
+  Metrics.counter_value
+    (Metrics.counter Metrics.default "balg_repl_snapshots_installed_total"
+       ~help:"Snapshot bootstraps installed by the follower")
+
+(* A follower that falls behind a compaction is re-bootstrapped with a
+   snapshot; its vec reads then see the snapshot's contents, not the
+   columns it had imported before. *)
+let test_repl_follower_reads_after_install () =
+  let booted = snapshots_installed () in
+  with_pair
+    ~primary_tweak:(fun c -> { c with Server.compact_bytes = 1 })
+    ~follower_tweak:(fun c -> { c with Server.engine = Veval.Vec })
+    (fun prim fol ->
+      wait_until ~what:"bootstrap" (fun () -> snapshots_installed () > booted);
+      let c = connect prim in
+      (* R arrives as a shipped record, and a follower read imports it *)
+      Alcotest.(check string) "def" "ok defined R"
+        (req c "def bag R : {{<U>}} = {{ <'a>:3 }}");
+      wait_until ~what:"catch-up" (caught_up prim fol);
+      let cf = connect fol in
+      let q = "select(x -> x.1 == 'a, R ++ R)" in
+      Alcotest.(check string) "follower reads the shipped R"
+        "ok {{<'a>:6}} : {{<U>}}" (req cf ("eval " ^ q));
+      let installed0 = snapshots_installed () in
+      (* cut every shipped batch while three compacting defs land *)
+      Fault.with_faults "repl.ship:always" (fun () ->
+          List.iter
+            (fun d -> Alcotest.(check bool) d true (starts_with "ok" (req c d)))
+            [
+              "def bag R : {{<U>}} = {{ <'a>:4, <'r> }}";
+              "def bag T : {{<U>}} = {{ <'t> }}";
+              "def bag T : {{<U>}} = {{ <'u> }}";
+            ]);
+      wait_until ~what:"catch-up by snapshot" (caught_up prim fol);
+      Alcotest.(check bool) "the follower installed a snapshot" true
+        (snapshots_installed () > installed0);
+      Alcotest.(check string) "follower vec read sees the snapshot"
+        "ok {{<'a>:8}} : {{<U>}}" (req cf ("eval " ^ q));
+      Alcotest.(check string) "an uncached read too"
+        "ok {{<'r>:2}} : {{<U>}}"
+        (req cf "eval select(x -> x.1 == 'r, R ++ R)");
+      Client.close cf;
+      Client.close c)
+
 let test_repl_promote () =
   with_pair (fun prim fol ->
       let c = connect prim in
@@ -1281,13 +1424,12 @@ let test_repl_failover_differential () =
    and a response may instead be a structured failure — an err line, a
    verdict, or a dead socket — but never a wrong answer, and the server
    must still answer cleanly once the faults are disarmed. *)
-let test_server_concurrent_differential () =
+let concurrent_differential ~tweak queries =
   let chaos_spec = Sys.getenv_opt "BALG_FAULT" in
   let chaos_seed =
     Option.bind (Sys.getenv_opt "BALG_FAULT_SEED") int_of_string_opt
   in
-  with_server
-    ~tweak:(fun c -> { c with Server.workers = 3 })
+  with_server ~tweak
     (fun sv ->
       let db = seed () in
       let expected = List.map (fun q -> (q, reference db q)) queries in
@@ -1345,6 +1487,26 @@ let test_server_concurrent_differential () =
       let c = connect sv in
       Alcotest.(check string) "healthy after the storm" "ok pong" (req c "ping");
       Client.close c)
+
+let test_server_concurrent_differential () =
+  concurrent_differential ~tweak:(fun c -> { c with Server.workers = 3 }) queries
+
+(* The same storm on the vec engine with two worker domains and a
+   one-entry result cache, so nearly every read evaluates: both workers
+   read the same shared columns of R and G, and every reply must stay
+   bit-identical to the tree engine's. *)
+let test_server_concurrent_differential_vec () =
+  concurrent_differential
+    ~tweak:(fun c ->
+      { c with Server.workers = 2; engine = Veval.Vec; optimize = Opt.Cost;
+        cache_capacity = 1 })
+    (queries
+    @ [
+        "pi[1,4](select(x -> x.2 == x.3, G * G))";
+        "dedup(G ++ G) -- G";
+        "select(x -> x.1 == 'b, R ++ R) \\/ R";
+        "nest[1](G)";
+      ])
 
 (* End-to-end request tracing: with tracing enabled, a loaded server's
    event stream carries the whole request lifecycle — session spans on
@@ -1511,6 +1673,8 @@ let () =
       ( "store",
         [
           Alcotest.test_case "cow snapshots" `Quick test_store_cow;
+          Alcotest.test_case "per-revision view and columns" `Quick
+            test_store_view_columns;
           Alcotest.test_case "wal roundtrip" `Quick test_store_wal_roundtrip;
           Alcotest.test_case "torn tail" `Quick test_store_torn_tail;
           Alcotest.test_case "crc bit flip mid-log" `Quick
@@ -1551,6 +1715,8 @@ let () =
           Alcotest.test_case "protocol roundtrip" `Quick test_server_roundtrip;
           Alcotest.test_case "writes and cache" `Quick
             test_server_writes_and_cache;
+          Alcotest.test_case "vec reads follow writes" `Quick
+            test_server_vec_reads_follow_writes;
           Alcotest.test_case "cached reply identical" `Quick
             test_server_cached_reply_identical;
           Alcotest.test_case "admission rejects" `Quick
@@ -1568,10 +1734,14 @@ let () =
             test_server_request_logs;
           Alcotest.test_case "concurrent differential" `Quick
             test_server_concurrent_differential;
+          Alcotest.test_case "concurrent differential (vec, 2 workers)"
+            `Quick test_server_concurrent_differential_vec;
         ] );
       ( "repl",
         [
           Alcotest.test_case "catch-up" `Quick test_repl_catch_up;
+          Alcotest.test_case "follower reads after install" `Quick
+            test_repl_follower_reads_after_install;
           Alcotest.test_case "snapshot bootstrap" `Quick
             test_repl_snapshot_bootstrap;
           Alcotest.test_case "promote" `Quick test_repl_promote;

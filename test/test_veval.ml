@@ -426,6 +426,141 @@ let test_kernels_against_bag () =
             (kernel_cases rng))
         (List.init 4 Fun.id))
 
+(* Shared inputs: balgd imports a relation once and hands the same vector
+   to every run that reads it, on any worker domain, so no kernel may
+   write into its inputs.  Every kernel — alone, pooled, and over results
+   that share arrays with an input (union_add with an empty side returns
+   that input; map_scalar keeps its count column) — and whole vec runs
+   fed through [?columns] must leave the imported operands bit-identical
+   to a fresh import. *)
+let bits (x : Vec.t) = Marshal.to_string x []
+
+let kernels p a b =
+  let f1 = Vec.SField (1, Vec.SRow) and f2 = Vec.SField (2, Vec.SRow) in
+  (if Vec.expected_product_rows a b > 100_000 then []
+   else
+     [
+       ("product", fun () -> Vec.product a b);
+       ("pooled product", fun () -> Vec.product ~pool:p a b);
+     ])
+  @ [
+    ("join 1 1", fun () -> Vec.join 1 1 a b);
+    ("join 2 1", fun () -> Vec.join 2 1 a b);
+    ("pooled join", fun () -> Vec.join ~pool:p 1 1 a b);
+    ("map swap", fun () -> Vec.map_scalar (Vec.SRecord [ f2; f1 ]) a);
+    ("map const", fun () -> Vec.map_scalar (Vec.SRecord [ Vec.SConst (at "c") ]) a);
+    ("map ones", fun () -> Vec.map_scalar (Vec.SRecord [ Vec.SOnes ("one", f1) ]) a);
+    ("select", fun () -> Vec.select_scalar f1 f2 a);
+    ("pooled select", fun () -> Vec.select_scalar ~pool:p f1 (Vec.SConst (at "v1")) a);
+    ("union_add", fun () -> Vec.union_add a b);
+    ("monus", fun () -> Vec.monus a b);
+    ("inter", fun () -> Vec.inter a b);
+    ("union_max", fun () -> Vec.union_max a b);
+    ("dedup", fun () -> Vec.dedup a);
+    ("coalesce", fun () -> Vec.coalesce a);
+    ("nest 1", fun () -> Vec.nest [ 1 ] a);
+    ("nest 2", fun () -> Vec.nest [ 2 ] a);
+    ("unnest 1", fun () -> Vec.unnest 1 a);
+    ("destroy", fun () -> Vec.destroy a);
+    ("to_value", fun () -> ignore (Vec.to_value a); a);
+  ]
+
+let test_kernels_leave_inputs_intact () =
+  with_test_pool (fun p ->
+      List.iter
+        (fun seed ->
+          let rng = Random.State.make [| 2003 + seed |] in
+          let bags ety =
+            G.of_type rng ~n_atoms:3 ~width:6 ~max_count:3 (Ty.Bag ety)
+          in
+          let cases =
+            List.map (fun (name, (va, _), (vb, _)) -> (name, va, vb)) (kernel_cases rng)
+            @ [
+                ( "bags of bags",
+                  bags (Ty.Bag (Ty.Tuple [ Ty.Atom; Ty.Atom ])),
+                  bags (Ty.Bag (Ty.Tuple [ Ty.Atom; Ty.Atom ])) );
+              ]
+          in
+          List.iter
+            (fun (name, va, vb) ->
+              let xa = Vec.of_value va and xb = Vec.of_value vb in
+              let fresh_a = bits (Vec.of_value va) and fresh_b = bits (Vec.of_value vb) in
+              let intact what =
+                let lbl side = Printf.sprintf "%s, seed %d: %s leaves %s intact" name seed what side in
+                Alcotest.(check bool) (lbl "A") true (String.equal fresh_a (bits xa));
+                Alcotest.(check bool) (lbl "B") true (String.equal fresh_b (bits xb))
+              in
+              let run_all ?(chain = false) tag a b =
+                List.iter
+                  (fun (k, f) ->
+                    (match f () with
+                    | r when chain ->
+                        (* the output feeds a second round of kernels:
+                           outputs may share arrays with the inputs *)
+                        List.iter
+                          (fun (_, g) -> try ignore (g ()) with Vec.Unsupported _ -> ())
+                          (kernels p r (Vec.of_value Value.empty_bag))
+                    | _ -> ()
+                    | exception Vec.Unsupported _ -> ());
+                    intact (tag ^ k))
+                  (kernels p a b)
+              in
+              run_all ~chain:true "" xa xb;
+              run_all "reversed " xb xa;
+              run_all "self " xa xa;
+              run_all "shared counts " (Vec.map_scalar Vec.SRow xa) xb;
+              run_all "shared operand " (Vec.union_add xa (Vec.of_value Value.empty_bag)) xb;
+              (* whole runs over the shared operands, against the tree
+                 engine *)
+              let env = Eval.env_of_list [ ("A", va); ("B", vb) ] in
+              let asked = ref 0 in
+              let columns name v =
+                incr asked;
+                match name with
+                | "A" when v == va -> Some xa
+                | "B" when v == vb -> Some xb
+                | _ -> None
+              in
+              let a = Expr.Var "A" and b = Expr.Var "B" in
+              List.iter
+                (fun e ->
+                  (* the query list is not typed per case: a query the
+                     tree engine rejects only has to leave the inputs
+                     intact under the vec engine *)
+                  (match Eval.run ~limits:small_limits env e with
+                  | exception _ -> (
+                      try ignore (Veval.run ~limits:small_limits ~pool:p ~columns env e)
+                      with _ -> ())
+                  | tree -> (
+                      match
+                        (tree, Veval.run ~limits:small_limits ~pool:p ~columns env e)
+                      with
+                      | Ok v, Ok w ->
+                          Alcotest.(check bool) (name ^ ": run matches the tree engine")
+                            true
+                            (Value.equal v w && Value.hash v = Value.hash w)
+                      | Error _, Error _ -> ()
+                      | _ -> Alcotest.fail (name ^ ": engines disagree on a verdict")));
+                  intact (Expr.op_name e ^ " run"))
+                ((if Vec.expected_product_rows xa xb > 100_000 then []
+                  else [ Expr.Product (a, b) ])
+                @ [
+                  Expr.UnionAdd (a, b);
+                  Expr.Diff (Expr.UnionAdd (a, a), b);
+                  Expr.UnionMax (a, b);
+                  Expr.Inter (b, a);
+                  Expr.Dedup (Expr.UnionAdd (a, b));
+                  Expr.Join (1, 1, a, b);
+                  Expr.proj_attrs [ 2; 1 ] a;
+                  Expr.Nest ([ 1 ], a);
+                  Expr.Destroy a;
+                  Expr.ones b;
+                ]);
+              Alcotest.(check bool) (name ^ ": runs read the shared columns") true
+                (!asked > 0))
+            cases)
+        (List.init 2 Fun.id))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -453,5 +588,7 @@ let () =
           Alcotest.test_case "counts past 2^63" `Quick test_counts_past_2_63;
           Alcotest.test_case "kernels == Bag on long chains and spills"
             `Quick test_kernels_against_bag;
+          Alcotest.test_case "kernels leave shared inputs intact" `Quick
+            test_kernels_leave_inputs_intact;
         ] );
     ]
