@@ -62,9 +62,8 @@ let polyab_expr = Expr.(Expr.proj_attrs [ 1 ] (Var "B" *** Var "B") -- Var "B")
 
 let parse_input = Expr.to_string tc_q
 
-(* Large workloads for the parallel kernels: a 300-row binary relation whose
-   self-product materialises 90k rows — big enough that chunking the support
-   across domains pays for the fork/join.  Built lazily so the default
+(* Large workloads for the kernel rows: a 300-row binary relation whose
+   self-product materialises 90k rows.  Built lazily so the default
    experiment run doesn't pay for them. *)
 
 let binary300 =
@@ -211,7 +210,7 @@ let json_benches ?pool () =
      objective is inverted (Opt.invert_cost), no beneficial rewrite is
      accepted, and these rows regress against the optimised baseline —
      the gate's self-test. *)
-  let metered_opt ?pool name q =
+  let metered_opt name q =
     let tenv = Typecheck.env_of_list [] in
     {
       jname = name;
@@ -219,7 +218,7 @@ let json_benches ?pool () =
       jrun =
         (fun () ->
           ignore
-            (Eval.run ?pool (Eval.env_of_list []) (Opt.prepare Opt.Cost tenv q)));
+            (Eval.run (Eval.env_of_list []) (Opt.prepare Opt.Cost tenv q)));
       jmemo = true;
       jquery = Some (Opt.prepare Opt.Cost tenv q);
     }
@@ -265,6 +264,11 @@ let json_benches ?pool () =
   let vecprod300 = lazy (Vec.of_value (Lazy.force product300)) in
   let sel_l = Vec.SField (2, Vec.SRow) and sel_r = Vec.SField (3, Vec.SRow) in
   let proj14 = Vec.SRecord [ Vec.SField (1, Vec.SRow); Vec.SField (4, Vec.SRow) ] in
+  let join_chain300_vec_q =
+    lazy
+      (Opt.prepare ~engine:Veval.Vec Opt.Cost (Typecheck.env_of_list [])
+         (Lazy.force join_chain300_q))
+  in
   let base =
     [
       plain ~query:powerset12_q "powerset_12" (fun () ->
@@ -307,14 +311,15 @@ let json_benches ?pool () =
       (* planned once outside the timing loop, so the row prices the two
          stacked Vec.join kernels rather than the planner *)
       metered ~engine:Veval.Vec "join_chain300_vec"
-        (Opt.prepare ~engine:Veval.Vec Opt.Cost (Typecheck.env_of_list [])
-           (Lazy.force join_chain300_q));
+        (Lazy.force join_chain300_vec_q);
       metered ~engine:Veval.Vec "transitive_closure_graph8_vec" tc_q;
     ]
   in
-  (* With [--jobs N], the parallelizable benches also run as [_jobsN] rows so
-     BENCH_eval.json records sequential and parallel medians side by side.
-     The regression gate measures without a pool, so [_jobsN] rows in an
+  (* With [--jobs N], the benches whose kernels take a pool (the vec
+     selection and join) also run as [_jobsN] rows, so BENCH_eval.json
+     records sequential and parallel medians side by side.  The tree
+     kernels and Vec.product are sequential and have no such rows.  The
+     regression gate measures without a pool, so [_jobsN] rows in an
      older baseline are simply skipped. *)
   match pool with
   | None -> base
@@ -323,36 +328,17 @@ let json_benches ?pool () =
       let tag name = Printf.sprintf "%s_jobs%d" name j in
       base
       @ [
-          plain ~query:(Lazy.force product300_q) (tag "product_binary300")
-            (fun () ->
-              ignore
-                (Bag.product ~pool:p (Lazy.force binary300)
-                   (Lazy.force binary300)));
-          plain ~query:(Lazy.force select300_q) (tag "select_eq_product300")
-            (fun () ->
-              ignore (Bag.select_eq ~pool:p 2 3 (Lazy.force product300)));
-          plain ~query:(Lazy.force proj300_q) (tag "proj_product300")
-            (fun () ->
-              ignore (Bag.proj ~pool:p [ 1; 4 ] (Lazy.force product300)));
-          metered ~pool:p (tag "selfjoin_binary300") (Lazy.force selfjoin300_q);
-          plain ~engine:"vec" ~query:(Lazy.force product300_q)
-            (tag "product_binary300_vec") (fun () ->
-              ignore
-                (Vec.product ~pool:p (Lazy.force vec300) (Lazy.force vec300)));
           plain ~engine:"vec" ~query:(Lazy.force select300_q)
             (tag "select_eq_product300_vec") (fun () ->
               ignore
                 (Vec.select_scalar ~pool:p sel_l sel_r
                    (Lazy.force vecprod300)));
-          (* the proj kernel is a pure column gather — pool-independent —
-             but the row exists so the report carries all four benches in
-             both modes *)
-          plain ~engine:"vec" ~query:(Lazy.force proj300_q)
-            (tag "proj_product300_vec") (fun () ->
-              ignore
-                (Vec.to_value (Vec.map_scalar proj14 (Lazy.force vecprod300))));
           metered ~pool:p ~engine:Veval.Vec (tag "selfjoin_binary300_vec")
             (Lazy.force selfjoin300_q);
+          (* the second join probes the ~2k-row σ_{2=3}(B×B), past
+             [Pool.chunk_min], so its probe side chunks *)
+          metered ~pool:p ~engine:Veval.Vec (tag "join_chain300_vec")
+            (Lazy.force join_chain300_vec_q);
         ]
 
 (* Kernel rows allocate multi-megabyte arrays straight into the major
@@ -667,10 +653,14 @@ let () =
   if Array.exists (( = ) "--miscost") Sys.argv then Opt.invert_cost := true;
   let pool =
     match arg_value "--jobs" with
-    | Some s ->
-        let j = try int_of_string s with _ -> 1 in
-        if j > 1 then Some (Pool.create ~jobs:j ()) else None
     | None -> None
+    | Some s -> (
+        match int_of_string_opt s with
+        | Some j when j >= 1 ->
+            if j > 1 then Some (Pool.create ~jobs:j ()) else None
+        | _ ->
+            Printf.eprintf "bench: --jobs wants a positive integer, got %S\n" s;
+            exit 2)
   in
   (match arg_value "--gate" with
   | Some baseline -> run_gate baseline

@@ -76,7 +76,7 @@ type opts = {
   trace : bool;
   stats_sort : Telemetry.sort;  (** --stats-sort column *)
   stats_top : int;  (** rows of the per-operator table *)
-  jobs : int;  (** kernel pool domains; 1 = no pool *)
+  jobs : int;  (** vec kernel pool domains; 1 = no pool *)
   fault : string option;  (** --fault spec, overrides BALG_FAULT *)
   fault_seed : int option;
   trace_out : string option;  (** Chrome trace-event JSON output file *)
@@ -219,8 +219,16 @@ let plan db opts e =
   Opt.prepare ~vals:(db_vals db) ~engine:opts.engine opts.optimize
     (Bagdb.type_env db) e
 
-(* One governed attempt: fresh budget over the same limits, pool created
-   and shut down here (also on exceptions, via with_pool). *)
+(* A pool for the vec engine's selection and join kernels, created and
+   shut down around one run (also on exceptions).  The tree engine is
+   sequential and gets none, so it spawns no idle domains that every
+   minor collection would have to stop. *)
+let with_kernel_pool opts f =
+  match opts.engine with
+  | Veval.Tree -> f None
+  | Veval.Vec -> Pool.with_pool ~jobs:opts.jobs f
+
+(* One governed attempt: fresh budget over the same limits. *)
 let eval_once db opts e =
   let budget = Budget.start opts.limits in
   let telemetry =
@@ -228,7 +236,7 @@ let eval_once db opts e =
   in
   let result =
     with_sigint budget @@ fun () ->
-    Pool.with_pool ~jobs:opts.jobs (fun pool ->
+    with_kernel_pool opts (fun pool ->
         Veval.run_engine opts.engine ~budget ?telemetry ?pool
           (Bagdb.value_env db) e)
   in
@@ -401,7 +409,7 @@ let run_repl db_path opts =
             let budget = Budget.start opts.limits in
             with_sigint budget @@ fun () ->
             match
-              Pool.with_pool ~jobs:opts.jobs (fun pool ->
+              with_kernel_pool opts (fun pool ->
                   Veval.run_engine opts.engine ~budget ?pool
                     (Bagdb.value_env db) e)
             with
@@ -687,11 +695,12 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Give the data kernels (products, joins, positional projections \
-           and equality selections) a pool of $(docv) domains to chunk \
-           large inputs across.  Everything else runs on the calling \
-           domain, so results, fuel and $(b,--stats) are identical to \
-           sequential evaluation.")
+          "Give the vec engine's selection and join kernels a pool of \
+           $(docv) domains to chunk large inputs across.  Only \
+           $(b,--engine vec) uses it; the tree engine is sequential and \
+           starts no pool.  Everything else runs on the calling domain, \
+           so results, fuel and $(b,--stats) are identical to sequential \
+           evaluation.")
 
 let fault_arg =
   Arg.(

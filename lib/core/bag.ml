@@ -52,40 +52,25 @@ let subbag a b =
   in
   go (pairs a) (pairs b)
 
-(* Run [tasks] on the pool (when one is attached and the work is large
-   enough) and re-raise the first captured exception; kernels are pure, so
-   any exception is equivalent to the sequential one. *)
-let pool_run pool tasks =
-  List.map
-    (function Ok v -> v | Error e -> raise e)
-    (Pool.run pool tasks)
-
 (* Cartesian product.  When every element of [a] is a tuple of one fixed
    arity, nested-loop order over the two sorted supports already yields the
    concatenated tuples in canonical order: distinct [(v, w)] pairs
    concatenate to distinct tuples, and because all prefixes have the same
    length the first component dominates the comparison.  The result then
-   goes through the trusted constructor — no re-sort, no coalescing.
-
-   With a pool attached and enough rows, the outer support is chunked
-   across domains.  Chunks cover contiguous, strictly increasing ranges of
-   the sorted outer support, so in the uniform-arity case the per-chunk row
-   lists concatenate back into one canonical list; otherwise the per-chunk
-   bags recombine with the sorted [merge] (additive union), which is
-   exactly the coalescing [bag_of_assoc] would have done. *)
-let product ?pool a b =
+   goes through the trusted constructor — no re-sort, no coalescing. *)
+let product a b =
   Fault.inject alloc_site;
   let pa = pairs a in
   let bs = List.map (fun (w, d) -> (Value.as_tuple w, d)) (pairs b) in
-  (* rows for one slice of the outer support, in reverse canonical order *)
-  let rows_of_slice slice =
+  (* the product rows, in reverse canonical order *)
+  let rows =
     List.fold_left
       (fun acc (v, c) ->
         let vt = Value.as_tuple v in
         List.fold_left
           (fun acc (wt, d) -> (Value.tuple (vt @ wt), Bignat.mul c d) :: acc)
           acc bs)
-      [] slice
+      [] pa
   in
   let uniform_arity =
     match pa with
@@ -94,29 +79,8 @@ let product ?pool a b =
         let k = List.length (Value.as_tuple v0) in
         List.for_all (fun (v, _) -> List.length (Value.as_tuple v) = k) rest
   in
-  let la = List.length pa and lb = List.length bs in
-  match pool with
-  | Some p
-    when Pool.jobs p > 1
-         && la >= 2
-         && Value.sat_mul la lb >= Pool.chunk_min p ->
-      let slices = Pool.chunks (4 * Pool.jobs p) pa in
-      if uniform_arity then
-        let parts =
-          pool_run p
-            (List.map (fun s () -> List.rev (rows_of_slice s)) slices)
-        in
-        Value.of_sorted_assoc (List.concat parts)
-      else
-        let parts =
-          pool_run p
-            (List.map (fun s () -> Value.bag_of_assoc (rows_of_slice s)) slices)
-        in
-        List.fold_left union_add Value.empty_bag parts
-  | _ ->
-      let rows = rows_of_slice pa in
-      if uniform_arity then Value.of_sorted_assoc (List.rev rows)
-      else Value.bag_of_assoc rows
+  if uniform_arity then Value.of_sorted_assoc (List.rev rows)
+  else Value.bag_of_assoc rows
 
 let scale k b =
   if Bignat.is_zero k then Value.empty_bag
@@ -139,10 +103,8 @@ let select p b =
   Value.of_sorted_assoc (List.filter (fun (v, _) -> p v) (pairs b))
 
 (* Generalized projection — MAP λx.<α_{i1}(x), ..., α_{ik}(x)> as a direct
-   kernel; the evaluator compiles that Map shape straight to this.  With a
-   pool, support chunks project (and locally coalesce) in parallel and the
-   per-chunk bags recombine additively with the sorted [merge]. *)
-let proj ?pool ixs b =
+   kernel; the evaluator compiles that Map shape straight to this. *)
+let proj ixs b =
   let ixs = Array.of_list ixs in
   let project (v, c) =
     let vs = Array.of_list (Value.as_tuple v) in
@@ -157,39 +119,18 @@ let proj ?pool ixs b =
               ixs)),
       c )
   in
-  let prs = pairs b in
-  match pool with
-  | Some p when Pool.jobs p > 1 && List.length prs >= Pool.chunk_min p ->
-      let parts =
-        pool_run p
-          (List.map
-             (fun s () -> Value.bag_of_assoc (List.map project s))
-             (Pool.chunks (4 * Pool.jobs p) prs))
-      in
-      List.fold_left union_add Value.empty_bag parts
-  | _ -> Value.bag_of_assoc (List.map project prs)
+  Value.bag_of_assoc (List.map project (pairs b))
 
 (* σ_{i=j} — positional-equality selection as a direct kernel; filtering a
-   canonical bag preserves canonicity, and filtered contiguous chunks of
-   the sorted support concatenate back into a canonical list. *)
-let select_eq ?pool i j b =
+   canonical bag preserves canonicity. *)
+let select_eq i j b =
   let keep (v, _) =
     let vs = Value.as_tuple v in
     match (List.nth_opt vs (i - 1), List.nth_opt vs (j - 1)) with
     | Some x, Some y -> Value.equal x y
     | _ -> invalid_arg "Bag.select_eq: attribute out of range"
   in
-  let prs = pairs b in
-  match pool with
-  | Some p when Pool.jobs p > 1 && List.length prs >= Pool.chunk_min p ->
-      let parts =
-        pool_run p
-          (List.map
-             (fun s () -> List.filter keep s)
-             (Pool.chunks (4 * Pool.jobs p) prs))
-      in
-      Value.of_sorted_assoc (List.concat parts)
-  | _ -> Value.of_sorted_assoc (List.filter keep prs)
+  Value.of_sorted_assoc (List.filter keep (pairs b))
 
 (* Keyed equijoin: [join_eq i j a b] is σ_{i = ka+j}(a × b) — the fused
    form the optimizer emits for Select_eq-over-Product — computed as a
@@ -198,10 +139,8 @@ let select_eq ?pool i j b =
    then [a]'s support streams through the table; matching pairs
    concatenate with multiplied counts, exactly the rows the unfused plan
    keeps, and [bag_of_assoc] restores canonical order — so the result is
-   bit-identical to [select_eq i (ka + j) (product a b)].  With a pool,
-   the probe side chunks across domains against the shared (frozen,
-   read-only after build) table. *)
-let join_eq ?pool i j a b =
+   bit-identical to [select_eq i (ka + j) (product a b)]. *)
+let join_eq i j a b =
   Fault.inject alloc_site;
   let table : (Value.t list * Bignat.t) list ref VH.t = VH.create 64 in
   List.iter
@@ -212,9 +151,9 @@ let join_eq ?pool i j a b =
       | Some key -> (
           match VH.find_opt table key with
           | Some members -> members := (wt, d) :: !members
-          | None -> VH.add table key (ref [ (wt, d) ]) (* domain-local: fresh table per call, read-only after build *)))
+          | None -> VH.add table key (ref [ (wt, d) ]) (* domain-local: fresh table per call *)))
     (pairs b);
-  let rows_of_slice slice =
+  let rows =
     List.fold_left
       (fun acc (v, c) ->
         let vt = Value.as_tuple v in
@@ -228,19 +167,9 @@ let join_eq ?pool i j a b =
                   (fun acc (wt, d) ->
                     (Value.tuple (vt @ wt), Bignat.mul c d) :: acc)
                   acc !members))
-      [] slice
+      [] (pairs a)
   in
-  let pa = pairs a in
-  match pool with
-  | Some p when Pool.jobs p > 1 && List.length pa >= Pool.chunk_min p ->
-      let parts =
-        pool_run p
-          (List.map
-             (fun s () -> Value.bag_of_assoc (rows_of_slice s))
-             (Pool.chunks (4 * Pool.jobs p) pa))
-      in
-      List.fold_left union_add Value.empty_bag parts
-  | _ -> Value.bag_of_assoc (rows_of_slice pa)
+  Value.bag_of_assoc rows
 
 (* Nest: group by the listed attributes; the remaining attributes keep
    their multiplicities inside the per-group bag, each group occurs once.

@@ -7,7 +7,11 @@
     ([sup (0, p - q)]), maximal union and intersection take sup and inf, the
     Cartesian product multiplies counts, and the powerset yields {e one}
     occurrence of every subbag whereas the powerbag distinguishes occurrences
-    ([prod C(m_i, k_i)] copies of each sub-multiset). *)
+    ([prod C(m_i, k_i)] copies of each sub-multiset).
+
+    Every kernel here runs sequentially on the calling domain: the tree
+    engine built on them is the reference every pooled vec run is checked
+    against. *)
 
 (** {1 Boolean structure} *)
 
@@ -24,12 +28,9 @@ val inter : Value.t -> Value.t -> Value.t
 
 (** {1 Constructive operations} *)
 
-val product : ?pool:Pool.t -> Value.t -> Value.t -> Value.t
+val product : Value.t -> Value.t -> Value.t
 (** Cartesian product of bags of tuples; concatenates tuple components and
-    multiplies multiplicities.  With [?pool] and enough rows, the outer
-    support is chunked across domains; the result is identical to the
-    sequential one (chunks cover contiguous ranges of the sorted support,
-    so their partial results recombine canonically). *)
+    multiplies multiplicities. *)
 
 val expected_subbags : Value.t -> int
 (** The number of distinct subbags {!powerset}/{!powerbag} would
@@ -67,31 +68,27 @@ val select : (Value.t -> bool) -> Value.t -> Value.t
 val dedup : Value.t -> Value.t
 (** Duplicate elimination [ε]. *)
 
-val proj : ?pool:Pool.t -> int list -> Value.t -> Value.t
+val proj : int list -> Value.t -> Value.t
 (** [proj ixs b] is the generalized projection
     [MAP λx.<α_{i1}(x), ..., α_{ik}(x)>] over a bag of tuples — the direct
     kernel behind the evaluator's compiled fast path for that Map shape.
-    With [?pool], support chunks project in parallel and recombine with the
-    sorted additive merge.
     @raise Invalid_argument on non-tuple elements or out-of-range
     attributes. *)
 
-val select_eq : ?pool:Pool.t -> int -> int -> Value.t -> Value.t
+val select_eq : int -> int -> Value.t -> Value.t
 (** [select_eq i j b] is [σ_{i=j} b]: keep the tuples whose [i]-th and
     [j]-th components are equal.  Direct kernel behind the compiled fast
-    path for [Select (x, Proj (i, Var x), Proj (j, Var x), e)].  With
-    [?pool], support chunks filter in parallel.
+    path for [Select (x, Proj (i, Var x), Proj (j, Var x), e)].
     @raise Invalid_argument on non-tuple elements or out-of-range
     attributes. *)
 
-val join_eq : ?pool:Pool.t -> int -> int -> Value.t -> Value.t -> Value.t
+val join_eq : int -> int -> Value.t -> Value.t -> Value.t
 (** [join_eq i j a b] is the keyed equijoin
     [σ_{i = ka+j} (a × b)] (with [ka] the arity of [a]'s tuples) as one
     hash-join kernel: [b] is bucketed by its [j]-th component, [a] streams
     through the table, and matching tuples concatenate with multiplied
     counts.  Bit-identical to [select_eq i (ka + j) (product a b)] without
-    materialising the product.  With [?pool], the probe side chunks across
-    domains against the shared read-only table.
+    materialising the product.
     @raise Invalid_argument on non-tuple elements or out-of-range
     attributes. *)
 

@@ -65,8 +65,8 @@ type t
 (** A running account.  One [t] governs one evaluation.  The accounts are
     {!Atomic.t} counters so that {!cancel} can reach a running evaluation
     from another thread or domain.  Only the evaluation's calling domain
-    charges them (pooled kernels charge nothing), so a pooled run cuts
-    off at exactly the sequential run's spend. *)
+    charges them (the vec engine's pooled kernels charge nothing), so a
+    pooled run cuts off at exactly the sequential run's spend. *)
 
 val create : limits -> t
 (** Open the account with the deadline clock {e unarmed}: fuel, support

@@ -49,13 +49,14 @@ let env_of_list l = List.fold_left (fun m (x, v) -> Env.add x v m) Env.empty l
 (* ------------------------------------------------------------------ *)
 (* Compilation to closures: budget governance, telemetry spans and
    memoisation of stable operator nodes.  Every closure runs on the
-   calling domain; only the data kernels it calls use the pool. *)
+   calling domain, and the tree engine's own kernels are sequential: the
+   pool in [state] is carried for the vec engine's kernels only. *)
 
 type state = {
   budget : Budget.t;  (** atomic, so another thread can cancel the run *)
   run_id : int;  (** keys the per-domain memo tables *)
   telemetry : Telemetry.t option;  (** the sink, when one is attached *)
-  pool : Pool.t option;  (** handed to the data kernels only *)
+  pool : Pool.t option;  (** handed to the vec kernels only *)
   mutable obs_cell : int ref;
       (** fuel charged to the {e currently executing} node, for the trace
           exporter: each traced node invocation installs a fresh cell and
@@ -376,9 +377,9 @@ and compile_node reg ~att volatile e : compiled =
   | Expr.UnionMax (a, b) -> bin a b (fun _st va vb -> Bag.union_max va vb)
   | Expr.Inter (a, b) -> bin a b (fun _st va vb -> Bag.inter va vb)
   | Expr.Product (a, b) ->
-      bin a b (fun st va vb -> Bag.product ?pool:st.pool va vb)
+      bin a b (fun _st va vb -> Bag.product va vb)
   | Expr.Join (i, j, a, b) ->
-      bin a b (fun st va vb -> Bag.join_eq ?pool:st.pool i j va vb)
+      bin a b (fun _st va vb -> Bag.join_eq i j va vb)
   | Expr.Powerset e ->
       let c = sub e in
       fun st env ->
@@ -404,7 +405,7 @@ and compile_node reg ~att volatile e : compiled =
       | Some (ixs, _) ->
           fun st env ->
             let b = c st env in
-            (try Bag.proj ?pool:st.pool ixs b
+            (try Bag.proj ixs b
              with Invalid_argument _ -> generic st env b)
       | None -> fun st env -> generic st env (c st env))
   (* σ_{i=j}: positional-equality selection runs as {!Bag.select_eq}, with
@@ -418,7 +419,7 @@ and compile_node reg ~att volatile e : compiled =
       let cl = under x l and cr = under x r and c = sub e in
       fun st env ->
         let b = c st env in
-        (try Bag.select_eq ?pool:st.pool i j b
+        (try Bag.select_eq i j b
          with Invalid_argument _ ->
            Bag.select
              (fun v ->
@@ -565,11 +566,11 @@ let govern m ?budget ?limits ?telemetry ?pool ?engine e f =
       finish_run m st t0 [ ("outcome", Obs.Str "exception") ];
       raise exn
 
-let run ?budget ?limits ?telemetry ?pool env e =
+let run ?budget ?limits ?telemetry env e =
   let compiled =
     compile { ctr = ref 0; telemetry } ~parent:0 Expr.Vars.empty e
   in
-  govern metrics ?budget ?limits ?telemetry ?pool e (fun st -> compiled st env)
+  govern metrics ?budget ?limits ?telemetry e (fun st -> compiled st env)
 
 (** Boolean convention for queries: a result is true when the output bag is
     nonempty (cf. Example 4.1's [≠ ∅] tests). *)

@@ -24,7 +24,6 @@ val run :
   ?budget:Budget.t ->
   ?limits:Budget.limits ->
   ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
   env ->
   Expr.t ->
   (Value.t, Budget.exhaustion) result
@@ -36,18 +35,14 @@ val run :
     for the two adversity channels: {!Budget.cancel} during evaluation
     returns a [Cancelled] verdict (checked at every fuel charge, on every
     domain), and a firing {!Fault} injection site — [eval.step],
-    [bag.alloc], [pool.task] — returns an [Injected] verdict naming the
+    [bag.alloc] — returns an [Injected] verdict naming the
     site, located at the charging node when the evaluator can attribute
     it.  The only exception [run] raises is {!Eval_error} (a dynamic type
     error or unbound variable: caller bugs, not resource adversity).
 
-    With [?pool], the data kernels ({!Bag.product}, {!Bag.proj},
-    {!Bag.select_eq}, {!Bag.join_eq}) chunk large supports across the
-    pool's domains; every compiled closure, and so every fuel charge,
-    memo probe and span update, stays on the calling domain.  A pooled
-    run therefore returns the same value or verdict, spends exactly the
-    same fuel and builds the same span tree as the sequential run
-    (tested in test_parallel.ml).
+    The tree engine is sequential: it takes no pool, and every kernel
+    and compiled closure runs on the calling domain.  It is the reference
+    the pooled vec engine is checked against (test_parallel.ml).
     @raise Eval_error on dynamic type errors or unbound variables. *)
 
 val truthy : Value.t -> bool
@@ -65,7 +60,7 @@ type state = private {
   budget : Budget.t;
   run_id : int;
   telemetry : Telemetry.t option;
-  pool : Pool.t option;  (** passed to the data kernels, never to closures *)
+  pool : Pool.t option;  (** passed to the vec kernels, never to closures *)
   mutable obs_cell : int ref;
   mutable peak_support : int;
   mutable peak_count : Bignat.t;
@@ -128,7 +123,8 @@ val govern :
   (state -> 'a) ->
   ('a, Budget.exhaustion) result
 (** Run a compiled evaluation of [e] on a fresh state (budget chosen as in
-    {!run}): the run's trace span and metrics, and the classification of
+    {!run}; [?pool] is the vec engine's, for its kernels): the run's trace
+    span and metrics, and the classification of
     its outcome — a value, a budget verdict (the published one), an
     injected fault below node attribution (a verdict at node 0), or a
     re-raised caller bug. *)

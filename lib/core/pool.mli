@@ -1,11 +1,12 @@
 (** A work-sharing pool of OCaml 5 domains for the data kernels.
 
-    The pool is used by the data kernels and nothing else: {!Bag.product},
-    {!Bag.proj}, {!Bag.select_eq}, {!Bag.join_eq}, {!Vec.product},
-    {!Vec.select_scalar} and {!Vec.join} split the sorted support (or row
-    range) of their input into contiguous chunks and run them here.  The
-    evaluators' compiled closures never run on a worker domain, so fuel
-    charges, memo tables and telemetry spans stay on the calling domain.
+    The pool is used by two vec kernels and nothing else: {!Vec.select_scalar}
+    and {!Vec.join} split the row range of their input into contiguous
+    chunks and run them here.  Those are the only kernels whose chunked
+    path measured faster than the sequential one (DESIGN §8); the tree
+    engine's {!Bag} kernels are sequential.  The evaluators' compiled
+    closures never run on a worker domain, so fuel charges, memo tables
+    and telemetry spans stay on the calling domain.
 
     A {!t} owns [jobs - 1] persistent worker domains plus the calling
     domain: {!run} enqueues a batch of thunks on a shared queue and the

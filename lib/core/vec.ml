@@ -758,13 +758,13 @@ let no_rows () = { rows = 0; data = CAtom [||]; cnts = cnt_make 0 }
 let expected_product_rows a b = Value.sat_mul a.rows b.rows
 
 (* Cartesian product: two index vectors in nested-loop order, one gather
-   per column, counts multiplied pairwise.  Chunks cover contiguous outer
-   ranges, so the parts concatenate in sequential order. *)
-let product_rows ?pool a b =
+   per column, counts multiplied pairwise. *)
+let product_rows a b =
   if expected_product_rows a b = max_int then
     unsupported "product: expected rows exceed int range";
   let acols = tuple_cols a.data and bcols = tuple_cols b.data in
-  let rb = b.rows in
+  let ra = a.rows and rb = b.rows in
+  let n = ra * rb in
   (* Block fast path for all-atom operands: a left column repeats each
      cell [rb] times ([Array.fill] per outer row) and a right column
      tiles whole-column copies ([Array.blit] per outer row) — straight
@@ -774,21 +774,20 @@ let product_rows ?pool a b =
     Array.for_all is_atom acols && Array.for_all is_atom bcols
   in
   let atom_cells = function CAtom xs -> xs | _ -> assert false in
-  let fast_slice (lo, hi) =
-    let n = (hi - lo) * rb in
+  let fast () =
     let left c =
       let xa = atom_cells c in
       let out = Array.make (max n 1) 0 in
-      for i = lo to hi - 1 do
-        Array.fill out ((i - lo) * rb) rb xa.(i)
+      for i = 0 to ra - 1 do
+        Array.fill out (i * rb) rb xa.(i)
       done;
       CAtom out
     in
     let right c =
       let xb = atom_cells c in
       let out = Array.make (max n 1) 0 in
-      for i = lo to hi - 1 do
-        Array.blit xb 0 out ((i - lo) * rb) rb
+      for i = 0 to ra - 1 do
+        Array.blit xb 0 out (i * rb) rb
       done;
       CAtom out
     in
@@ -798,7 +797,7 @@ let product_rows ?pool a b =
     let spill = Hashtbl.create 0 in
     let b_spill_free = Hashtbl.length b.cnts.spill = 0 in
     let k = ref 0 in
-    for i = lo to hi - 1 do
+    for i = 0 to ra - 1 do
       let ai = a.cnts.small.(i) in
       if ai = 1 && b_spill_free then begin
         Array.blit b.cnts.small 0 small !k rb;
@@ -816,13 +815,12 @@ let product_rows ?pool a b =
       cnts = { small; spill };
     }
   in
-  let slow_slice (lo, hi) =
-    let n = (hi - lo) * rb in
+  let slow () =
     let ia = Array.make (max n 1) 0 and ib = Array.make (max n 1) 0 in
-    (* bounds: k counts lo*rb..hi*rb-1 rebased to 0..n-1; both arrays have
-       at least n slots by construction three lines up *)
+    (* bounds: k counts 0..n-1; both arrays have at least n slots by
+       construction one line up *)
     let k = ref 0 in
-    for i = lo to hi - 1 do
+    for i = 0 to ra - 1 do
       for j = 0 to rb - 1 do
         Array.unsafe_set ia !k i; (* bounds: !k < n, see loop note above *)
         Array.unsafe_set ib !k j; (* bounds: !k < n, same index *)
@@ -842,21 +840,11 @@ let product_rows ?pool a b =
       cnts = mul_counts a.cnts ia b.cnts ib;
     }
   in
-  let slice r = if all_atoms then fast_slice r else slow_slice r in
-  match pool with
-  | Some p
-    when Pool.jobs p > 1 && a.rows >= 2
-         && expected_product_rows a b >= Pool.chunk_min p ->
-      let parts =
-        pool_run p
-          (List.map (fun r () -> slice r) (ranges (4 * Pool.jobs p) a.rows))
-      in
-      concat_vecs parts
-  | _ -> slice (0, a.rows)
+  if all_atoms then fast () else slow ()
 
-let product ?pool a b =
+let product a b =
   Fault.inject alloc_site;
-  if a.rows = 0 || b.rows = 0 then no_rows () else product_rows ?pool a b
+  if a.rows = 0 || b.rows = 0 then no_rows () else product_rows a b
 
 (* Growable int buffer: the probe side of [join] collects its matches in
    two of these instead of consing lists. *)

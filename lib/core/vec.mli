@@ -85,15 +85,18 @@ type scalar =
 
 (** {1 Kernels}
 
-    All kernels are pure; [?pool] chunks contiguous row ranges across
-    domains and the slices recombine by concatenation, so results are
-    bit-identical to the sequential run.
+    All kernels are pure.  {!join} and {!select_scalar} take a [?pool]
+    and chunk contiguous row ranges across its domains once the input
+    reaches {!Pool.chunk_min} rows; the slices recombine by concatenation,
+    so results are bit-identical to the sequential run.  Every other
+    kernel, {!product} included, is sequential: chunking it measured
+    slower (DESIGN §8).
     @raise Unsupported when operand shapes do not line up. *)
 
 val expected_product_rows : t -> t -> int
 (** Saturating [rows a * rows b] — the pre-materialisation guard. *)
 
-val product : ?pool:Pool.t -> t -> t -> t
+val product : t -> t -> t
 
 val join : ?pool:Pool.t -> int -> int -> t -> t -> t
 (** [join i j a b] is the keyed equijoin σ_{i = ka+j}(a × b) as one hash

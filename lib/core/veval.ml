@@ -21,12 +21,12 @@
     is preserved: every unit charged lands in the innermost traced node's
     cell exactly as in {!Eval}.
 
-    Parallelism lives {e inside} the kernels ({!Vec.product},
-    {!Vec.select_scalar} and {!Vec.join} chunk contiguous row ranges over
-    the pool); the compiled closures themselves run on the calling domain,
-    as in {!Eval}, so hybrid values are never shared across domains, their
-    memoising mutation needs no locks, and a pooled run spends the
-    sequential run's fuel. *)
+    Parallelism lives {e inside} the kernels ({!Vec.select_scalar} and
+    {!Vec.join} chunk contiguous row ranges over the pool); the compiled
+    closures themselves run on the calling domain, as in {!Eval}, so
+    hybrid values are never shared across domains, their memoising
+    mutation needs no locks, and a pooled run spends the sequential run's
+    fuel. *)
 
 type engine = Tree | Vec
 
@@ -329,15 +329,15 @@ and compile_node ~att ~pn ~sub (e : Expr.t) : compiled =
           let n = Vec.expected_product_rows xa xb in
           if n = max_int then Eval.too_large st att;
           Budget.check_support st.budget ~node:att.id ~op:att.op n;
-          Vec.product ?pool:st.pool xa xb)
-        (fun st va vb -> Bag.product ?pool:st.pool va vb)
+          Vec.product xa xb)
+        (fun _st va vb -> Bag.product va vb)
   | Expr.Join (i, j, a, b) ->
       (* Hash join: output rows are bounded by the raw product, but the
          kernel only materialises matches, so no pre-charge beyond the
          support check the kernel's result gets from [observe_hv]. *)
       vbin "vec:join" a b
         (fun st xa xb -> Vec.join ?pool:st.pool i j xa xb)
-        (fun st va vb -> Bag.join_eq ?pool:st.pool i j va vb)
+        (fun _st va vb -> Bag.join_eq i j va vb)
   | Expr.Powerset e0 ->
       let c = sub e0 in
       fun st env ->
@@ -472,5 +472,5 @@ let run ?budget ?limits ?telemetry ?pool ?report ?columns env e =
 
 let run_engine engine ?budget ?limits ?telemetry ?pool ?report ?columns env e =
   match engine with
-  | Tree -> Eval.run ?budget ?limits ?telemetry ?pool env e
+  | Tree -> Eval.run ?budget ?limits ?telemetry env e
   | Vec -> run ?budget ?limits ?telemetry ?pool ?report ?columns env e

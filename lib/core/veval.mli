@@ -86,7 +86,8 @@ val run :
 
     One call site for both engines, so tests and tools honour
     [BALG_ENGINE] / [--engine] with a single switch.  Only the vec
-    engine has a plan to [?report]. *)
+    engine has a plan to [?report] and kernels to chunk over a [?pool];
+    the tree engine is sequential and ignores both. *)
 
 val run_engine :
   engine ->

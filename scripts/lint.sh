@@ -43,14 +43,32 @@ for f in lib/core/pool.ml lib/core/bag.ml lib/core/eval.ml lib/core/vec.ml lib/c
   fi
 done
 
-# one parallelism mechanism: only the data kernels (Bag, Vec) use the
-# pool.  Both engines run every compiled closure on the calling domain, so
+# one parallelism mechanism: only the vec selection and join kernels use
+# the pool.  Both engines run every compiled closure on the calling domain, so
 # fuel charges, memo tables and telemetry spans never leave it and a
 # pooled run spends exactly the sequential run's fuel (test_parallel.ml).
 # Neither engine may submit pool work or spawn a domain itself.
 bad=$(grep -nE 'Pool\.(run|create)|Domain\.spawn' lib/core/eval.ml lib/core/veval.ml || true)
 if [ -n "$bad" ]; then
   echo "lint: compiled closures must stay on the calling domain; pass ?pool to a kernel instead:"
+  echo "$bad" | sed 's/^/  /'
+  fail=1
+fi
+
+# a sequential tree engine: the Bag kernels take no pool, because the
+# tree engine is the reference every pooled run is checked against, and
+# neither does Vec.product, whose chunked path measured slower in every
+# paired per-process run (DESIGN §8).  The pool chunks only the vec
+# selection and join kernels.
+bad=$(grep -ni 'pool' lib/core/bag.ml || true)
+if [ -n "$bad" ]; then
+  echo "lint: lib/core/bag.ml is sequential; no pool code there:"
+  echo "$bad" | sed 's/^/  /'
+  fail=1
+fi
+bad=$(grep -rnE '(Bag\.[[:alnum:]_]+|Vec\.product)[^;]*[?~]pool' lib --include='*.ml' || true)
+if [ -n "$bad" ]; then
+  echo "lint: no ?pool/~pool for a Bag kernel or Vec.product:"
   echo "$bad" | sed 's/^/  /'
   fail=1
 fi

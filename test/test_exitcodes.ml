@@ -5,7 +5,8 @@
    shape, for eval, explain and explain --analyze alike.  A plan-level
    divergence (say, the vec engine or the cost optimizer turning a verdict
    into a crash) shows up here as a matrix cell with the wrong code or the
-   wrong diagnostic class. *)
+   wrong diagnostic class.  One more CLI contract rides along: --jobs
+   starts a pool for the vec engine only. *)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -158,6 +159,30 @@ let test_success_matrix () =
                first)
             rest)
 
+(* --jobs chunks only the vec engine's kernels: under --engine tree it
+   must change nothing, not even start a pool, while the vec engine with
+   the same flags does create one (the control that the trace shows pool
+   events at all). *)
+let test_tree_engine_starts_no_pool () =
+  let query = "select(x -> x.2 == x.3, {{<'a,'b>,<'b,'c>:2}} * {{<'b,'d>,<'c,'e>}})" in
+  let traced engine jobs =
+    let trace = Filename.temp_file "balgi_trace" ".json" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove trace with Sys_error _ -> ())
+      (fun () ->
+        let code, out, err =
+          run_balgi
+            [ "eval"; "--engine"; engine; "--jobs"; jobs; "--trace-out"; trace; query ]
+        in
+        Alcotest.(check int) (Printf.sprintf "exit @ %s --jobs %s: %s" engine jobs err) 0 code;
+        (out, contains (read_file trace) {|"name":"create","cat":"pool"|}))
+  in
+  let seq, _ = traced "tree" "1" and pooled, created = traced "tree" "4" in
+  Alcotest.(check string) "same reply at --jobs 4 as at --jobs 1" seq pooled;
+  Alcotest.(check bool) "tree engine trace has no pool/create event" false created;
+  let _, vec_created = traced "vec" "4" in
+  Alcotest.(check bool) "vec engine trace has a pool/create event" true vec_created
+
 let () =
   Alcotest.run "exitcodes"
     [
@@ -168,5 +193,10 @@ let () =
           Alcotest.test_case "type error" `Quick test_type_error_matrix;
           Alcotest.test_case "budget verdict" `Quick test_verdict_matrix;
           Alcotest.test_case "success control" `Quick test_success_matrix;
+        ] );
+      ( "jobs",
+        [
+          Alcotest.test_case "tree engine starts no pool" `Quick
+            test_tree_engine_starts_no_pool;
         ] );
     ]

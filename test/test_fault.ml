@@ -6,11 +6,6 @@
 
 open Balg
 
-let jobs =
-  match Sys.getenv_opt "BALG_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with _ -> 4)
-  | None -> 4
-
 let site = Fault.register "test.site"
 
 let fire_seq ?seed spec n =
@@ -111,21 +106,23 @@ let test_cancel_does_not_override_verdict () =
   | None -> Alcotest.fail "verdict vanished"
 
 let test_concurrent_cancel_joins_pool () =
-  (* A cancel raced from another domain mid-evaluation: the run must end
-     in Ok (finished first) or a structured Cancelled verdict — never a
-     raw exception — and the pool must be fully joined either way. *)
+  (* A cancel raced from another domain mid-way through a pooled vec
+     run: it must end in Ok (finished first) or a structured Cancelled
+     verdict — never a raw exception — and the pool must be fully joined
+     either way.  At least one of the runs reaches a pooled kernel. *)
   let q = selfjoin_query 23 in
+  Testpool.ran_pooled "concurrent cancel" @@ fun () ->
   let outcomes =
     List.map
       (fun delay ->
         let budget = Budget.start roomy_limits in
-        let p = Pool.create ~chunk_min:1 ~jobs () in
+        let p = Pool.create ~chunk_min:1 ~jobs:Testpool.jobs () in
         let canceller =
           Domain.spawn (fun () ->
               Unix.sleepf delay;
               Budget.cancel budget)
         in
-        let r = Eval.run ~budget ~pool:p (Eval.env_of_list []) q in
+        let r = Veval.run ~budget ~pool:p (Eval.env_of_list []) q in
         Domain.join canceller;
         Pool.shutdown p;
         Alcotest.(check int) "no live domains after shutdown" 0 (Pool.live p);

@@ -7,26 +7,18 @@
        on success, exhaustion, cancellation and injected faults alike;
      - timestamps are non-decreasing within a tid;
      - the sum of "steps" over eval end events equals the governor's
-       spent fuel, sequentially and with a 4-domain pool;
+       spent fuel, sequentially and in a vec run with a 4-domain pool;
      - a failed run's trace still ends with a "done" instant carrying
        the verdict.
 
    Tracing is global state, so every test brackets with enable/disable. *)
 
 open Balg
-
-let jobs =
-  match Sys.getenv_opt "BALG_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with _ -> 4)
-  | None -> 4
+open Testpool
 
 let with_obs ?capacity f =
   Obs.enable ?capacity ();
   Fun.protect ~finally:Obs.disable f
-
-let with_test_pool f =
-  let p = Pool.create ~chunk_min:1 ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
 let rng = Random.State.make [| 20260806 |]
 let binary20 = Baggen.Genval.flat_bag rng ~n_atoms:6 ~arity:2 ~size:20 ~max_count:3
@@ -286,9 +278,9 @@ let done_instant evs =
   | [ e ] -> e
   | l -> Alcotest.failf "expected exactly one done instant, got %d" (List.length l)
 
-let run_traced ?pool ?budget e =
+let run_traced ?budget e =
   let budget = match budget with Some b -> b | None -> Budget.start Budget.default in
-  let r = Eval.run ~budget ?pool env0 e in
+  let r = Eval.run ~budget env0 e in
   (r, budget, Obs.events ())
 
 let test_trace_steps_equal_fuel_seq () =
@@ -306,7 +298,12 @@ let test_trace_steps_equal_fuel_seq () =
 let test_trace_steps_equal_fuel_parallel () =
   with_test_pool (fun pool ->
       with_obs (fun () ->
-          let r, budget, evs = run_traced ~pool selfjoin_q in
+          let budget = Budget.start Budget.default in
+          let r =
+            ran_pooled "pooled vec run" (fun () ->
+                Veval.run ~budget ~pool env0 selfjoin_q)
+          in
+          let evs = Obs.events () in
           Alcotest.(check bool) "run succeeded" true (Result.is_ok r);
           check_balanced evs;
           Alcotest.(check int) "steps == fuel with a pool"

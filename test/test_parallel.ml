@@ -1,26 +1,17 @@
 (* Tests for pooled evaluation: the work-sharing pool itself, and the
-   guarantee that a pool changes nothing observable.  Only the data kernels
-   use the pool; every compiled closure runs on the calling domain, so a
-   pooled run of either engine must return the same value or verdict,
-   spend the same fuel and build the same span tree as the sequential run,
-   with the steps == fuel telemetry invariant intact.
+   guarantee that a pool changes nothing observable.  Only the vec
+   engine's selection and join kernels use the pool (the tree engine is
+   sequential); every compiled closure runs on the calling domain, so a
+   pooled vec run must return the same value or verdict, spend the same
+   fuel and build the same span tree as the sequential run, with the
+   steps == fuel telemetry invariant intact.  Every pooled test checks
+   that the pool actually ran a batch.
 
-   The pool under test uses [chunk_min = 1] so the chunked kernels fire
-   even on the tiny inputs a test can afford; [BALG_TEST_JOBS] (default 4)
-   sets the domain count so CI can pin it. *)
+   The pool under test ({!Testpool}) uses [chunk_min = 1] so the chunked
+   kernels fire even on the tiny inputs a test can afford. *)
 
 open Balg
-
-let jobs =
-  match Sys.getenv_opt "BALG_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with _ -> 4)
-  | None -> 4
-
-let with_test_pool f =
-  let p = Pool.create ~chunk_min:1 ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
-
-let value = Alcotest.testable Value.pp Value.equal
+open Testpool
 
 (* --- the pool itself ------------------------------------------------------- *)
 
@@ -99,14 +90,14 @@ let roomy_limits =
 
 let tight_limits = { Budget.default with Budget.fuel = 80; max_support = 16 }
 
-(* Everything a run exposes: its value or its verdict's resource, node and
-   op, the fuel it spent, and its span tree (calls, steps and peak support
-   per node). *)
-let observe_run engine ?pool limits env e =
+(* Everything a vec run exposes: its value or its verdict's resource, node
+   and op, the fuel it spent, and its span tree (calls, steps and peak
+   support per node). *)
+let observe_run ?pool limits env e =
   let budget = Budget.start limits in
   let t = Telemetry.create () in
   let outcome =
-    match Veval.run_engine engine ~budget ~telemetry:t ?pool env e with
+    match Veval.run ~budget ~telemetry:t ?pool env e with
     | Ok v -> Ok v
     | Error x -> Error (x.Budget.resource, x.Budget.at_node, x.Budget.op)
   in
@@ -131,11 +122,9 @@ let differential gen gen_name =
               let inst = Baggen.Genexpr.instance rng env_spec in
               let env = Eval.env_of_list inst in
               List.for_all
-                (fun (engine, lname, limits) ->
-                  let o, fuel, tree = observe_run engine limits env e in
-                  let o', fuel', tree' =
-                    observe_run engine ~pool:p limits env e
-                  in
+                (fun (lname, limits) ->
+                  let o, fuel, tree = observe_run limits env e in
+                  let o', fuel', tree' = observe_run ~pool:p limits env e in
                   let same_outcome =
                     match (o, o') with
                     | Ok v, Ok v' -> Value.equal v v'
@@ -144,41 +133,19 @@ let differential gen gen_name =
                   in
                   same_outcome && fuel = fuel' && tree = tree'
                   || QCheck.Test.fail_reportf
-                       "%s engine, %s limits, %s\n\
+                       "%s limits, %s\n\
                         sequential: %s, fuel %d\n%s\n\
                         pooled:     %s, fuel %d\n%s"
-                       (Veval.engine_to_string engine) lname
+                       lname
                        (Expr.to_string e) (outcome_to_string o) fuel tree
                        (outcome_to_string o') fuel' tree')
-                [
-                  (Veval.Tree, "roomy", roomy_limits);
-                  (Veval.Tree, "tight", tight_limits);
-                  (Veval.Vec, "roomy", roomy_limits);
-                  (Veval.Vec, "tight", tight_limits);
-                ])
+                [ ("roomy", roomy_limits); ("tight", tight_limits) ])
             (List.init 6 Fun.id)))
 
 let differential_flat =
   differential (Baggen.Genexpr.flat ?allow_diff:None ?allow_dedup:None) "flat"
 
 let differential_nested = differential Baggen.Genexpr.nested "nested"
-
-let test_differential_kernels () =
-  (* deterministic spot checks straight at the chunked kernels, with
-     supports big enough to split across every domain *)
-  let rng = Random.State.make [| 42 |] in
-  let big = Baggen.Genval.flat_bag rng ~n_atoms:12 ~arity:2 ~size:120 ~max_count:3 in
-  with_test_pool (fun p ->
-      Alcotest.check value "product"
-        (Bag.product big big)
-        (Bag.product ~pool:p big big);
-      let prod = Bag.product big big in
-      Alcotest.check value "proj"
-        (Bag.proj [ 2; 1; 4 ] prod)
-        (Bag.proj ~pool:p [ 2; 1; 4 ] prod);
-      Alcotest.check value "select_eq"
-        (Bag.select_eq 2 3 prod)
-        (Bag.select_eq ~pool:p 2 3 prod))
 
 (* --- telemetry: steps == fuel survives domain joins ------------------------ *)
 
@@ -191,7 +158,10 @@ let test_steps_equal_fuel () =
   with_test_pool (fun p ->
       let budget = Budget.start roomy_limits in
       let t = Telemetry.create () in
-      (match Eval.run ~budget ~telemetry:t ~pool:p (Eval.env_of_list []) q with
+      (match
+         ran_pooled "steps == fuel" (fun () ->
+             Veval.run ~budget ~telemetry:t ~pool:p (Eval.env_of_list []) q)
+       with
       | Ok _ -> ()
       | Error x -> Alcotest.failf "unexpected exhaustion: %s" (Budget.exhaustion_to_string x));
       Alcotest.(check int)
@@ -202,14 +172,23 @@ let test_steps_equal_fuel () =
 (* --- deterministic exhaustion ---------------------------------------------- *)
 
 let test_deterministic_exhaustion () =
-  (* a product whose materialisation exceeds max_support under a pool:
-     the kernel's chunks charge nothing, the calling domain checks the
-     joined result, and the verdict is the same run after run *)
-  let q = selfjoin_query (Random.State.make [| 13 |]) in
+  (* a pooled hash join whose output exceeds max_support: the probe
+     slices charge nothing, the calling domain checks the joined result,
+     and the verdict is the same run after run *)
+  let rng = Random.State.make [| 13 |] in
+  let r =
+    Expr.lit
+      (Baggen.Genval.flat_bag rng ~n_atoms:10 ~arity:2 ~size:60 ~max_count:2)
+      (Ty.relation 2)
+  in
+  let q = Expr.Join (1, 1, r, r) in
   let limits = { Budget.default with Budget.fuel = 1_000_000; max_support = 100 } in
   with_test_pool (fun p ->
       let verdict () =
-        match Eval.run ~limits ~pool:p (Eval.env_of_list []) q with
+        match
+          ran_pooled "exhaustion" (fun () ->
+              Veval.run ~limits ~pool:p (Eval.env_of_list []) q)
+        with
         | Ok _ -> Alcotest.fail "expected exhaustion"
         | Error x -> (x.Budget.resource, x.Budget.at_node, x.Budget.op)
       in
@@ -231,7 +210,7 @@ let test_deterministic_exhaustion () =
 let chaos_spec =
   Option.value
     (Sys.getenv_opt "BALG_FAULT")
-    ~default:"pool.task:p=0.05,bag.alloc:p=0.05,eval.step:p=0.01"
+    ~default:"pool.task:p=0.05,vec.alloc:p=0.05,bag.alloc:p=0.05,eval.step:p=0.01"
 
 let chaos_seed =
   match Sys.getenv_opt "BALG_FAULT_SEED" with
@@ -239,9 +218,9 @@ let chaos_seed =
   | None -> 42
 
 let chaos_differential =
-  (* worker-death / allocation / step faults during a parallel run: the
-     result is the clean sequential value, bit-identical, or a structured
-     verdict — never a raw exception, never a wrong value *)
+  (* worker-death / allocation / step faults during a pooled vec run: the
+     result is the clean sequential tree value, bit-identical, or a
+     structured verdict — never a raw exception, never a wrong value *)
   QCheck.Test.make
     ~name:"chaos: faulted parallel run is bit-identical or a verdict"
     ~count:40
@@ -255,7 +234,7 @@ let chaos_differential =
       let chaotic =
         Fault.with_faults ~seed:(chaos_seed + seed) chaos_spec (fun () ->
             with_test_pool (fun p ->
-                Eval.run ~limits:roomy_limits ~pool:p env e))
+                Veval.run ~limits:roomy_limits ~pool:p env e))
       in
       match (oracle, chaotic) with
       | Ok v, Ok v' -> Value.equal v v'
@@ -280,6 +259,12 @@ let test_chaos_pool_shutdown () =
       Pool.shutdown p;
       Alcotest.(check int) "zero live domains" 0 (Pool.live p))
 
+(* A property over many generated queries, failing unless some of them
+   ran a pool batch: a single query may have no selection or join. *)
+let pooled_property t =
+  let name, speed, f = QCheck_alcotest.to_alcotest t in
+  (name, speed, fun () -> ran_pooled name f)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -292,9 +277,8 @@ let () =
         ] );
       ( "differential",
         [
-          QCheck_alcotest.to_alcotest differential_flat;
-          QCheck_alcotest.to_alcotest differential_nested;
-          Alcotest.test_case "chunked kernels" `Quick test_differential_kernels;
+          pooled_property differential_flat;
+          pooled_property differential_nested;
         ] );
       ( "invariants",
         [
@@ -305,7 +289,7 @@ let () =
         ] );
       ( "chaos",
         [
-          QCheck_alcotest.to_alcotest chaos_differential;
+          pooled_property chaos_differential;
           Alcotest.test_case "degraded pool still shuts down clean" `Quick
             test_chaos_pool_shutdown;
         ] );

@@ -5,22 +5,14 @@
    fixpoints, heterogeneous data).  Budget verdicts must also agree under
    tight limits, and pool-chunked kernel runs must recombine identically.
 
-   [BALG_TEST_JOBS] (default 4) pins the domain count, as in
-   test_parallel.ml; [BALG_ENGINE] is deliberately ignored here — this
-   file always compares both engines explicitly. *)
+   The pool is {!Testpool}'s, as in test_parallel.ml; [BALG_ENGINE] is
+   deliberately ignored here — this file always compares both engines
+   explicitly. *)
 
 open Balg
+open Testpool
 module B = Bignat
 module G = Baggen.Genval
-
-let jobs =
-  match Sys.getenv_opt "BALG_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with _ -> 4)
-  | None -> 4
-
-let with_test_pool f =
-  let p = Pool.create ~chunk_min:1 ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
 let value = Alcotest.testable Value.pp Value.equal
 let env_spec = [ ("R", 1); ("S", 2) ]
@@ -176,7 +168,7 @@ let test_pool_chunks_identical () =
       let queries =
         [
           Derived.selfjoin (Expr.Var "R");
-          Expr.proj_attrs [ 2 ] (Expr.Product (Expr.Var "R", Expr.Var "R"));
+          Expr.Join (1, 2, Expr.Var "R", Expr.Var "R");
         ]
       in
       List.iter
@@ -185,12 +177,14 @@ let test_pool_chunks_identical () =
             match Veval.run env q with Ok v -> v | Error _ -> assert false
           in
           let par =
-            match Veval.run ~pool:p env q with
+            match
+              ran_pooled (Expr.to_string q) (fun () -> Veval.run ~pool:p env q)
+            with
             | Ok v -> v
             | Error _ -> assert false
           in
           let tree =
-            match Eval.run ~pool:p env q with
+            match Eval.run env q with
             | Ok v -> v
             | Error _ -> assert false
           in
@@ -438,11 +432,7 @@ let bits (x : Vec.t) = Marshal.to_string x []
 let kernels p a b =
   let f1 = Vec.SField (1, Vec.SRow) and f2 = Vec.SField (2, Vec.SRow) in
   (if Vec.expected_product_rows a b > 100_000 then []
-   else
-     [
-       ("product", fun () -> Vec.product a b);
-       ("pooled product", fun () -> Vec.product ~pool:p a b);
-     ])
+   else [ ("product", fun () -> Vec.product a b) ])
   @ [
     ("join 1 1", fun () -> Vec.join 1 1 a b);
     ("join 2 1", fun () -> Vec.join 2 1 a b);
