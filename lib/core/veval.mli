@@ -9,8 +9,8 @@
     fuel charged per kernel batch (the steps == fuel invariant holds per
     run, checked by [scripts/check_trace.sh] on traces), {!Obs} spans per
     node invocation, {!Telemetry} per-op counters, a [vec.alloc] {!Fault}
-    site at kernel allocation points, and {!Pool} chunking over contiguous
-    column slices.  Results are bit-identical to {!Eval} — same canonical
+    site at kernel allocation points, and {!Pool} chunking of the
+    selection and join kernels over contiguous column slices.  Results are bit-identical to {!Eval} — same canonical
     {!Value.t} including multiplicities and hash tags (the differential
     suite in [test/test_veval.ml]).
 
