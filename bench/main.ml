@@ -106,6 +106,39 @@ let join_chain300_q =
          Expr.Proj (5, Expr.Var "y"),
          Expr.Product (Lazy.force select_product300_q, b) ))
 
+(* Loader inputs, the shapes balgd parses: a 500-row binary def as a
+   client writes it (rows in generation order), the same def as balgd
+   renders it into its WAL and ships it (canonical), and a whole rendered
+   database like a snapshot — sixteen 300-row graphs, four 4,000-row
+   lookups and eight 500-row relations, about 400 KB. *)
+
+let bagdb_decl st name ~rows ~domain =
+  Printf.sprintf "bag %s : {{<U, U>}} = {{ %s }}" name
+    (String.concat ", "
+       (List.init rows (fun _ ->
+            Printf.sprintf "<'w%d, 'w%d>" (Random.State.int st domain)
+              (Random.State.int st domain))))
+
+let def500_text =
+  lazy (bagdb_decl (Random.State.make [| 1 |]) "W0" ~rows:500 ~domain:1000)
+
+let def500_canonical_text =
+  lazy (Baglang.Bagdb.render (Baglang.Bagdb.parse (Lazy.force def500_text)))
+
+let db_seed1_text =
+  lazy
+    (let st = Random.State.make [| 1 |] in
+     let group prefix n ~rows ~domain =
+       List.init n (fun i ->
+           bagdb_decl st (Printf.sprintf "%s%d" prefix i) ~rows ~domain)
+     in
+     Baglang.Bagdb.render
+       (Baglang.Bagdb.parse
+          (String.concat "\n"
+             (group "G" 16 ~rows:300 ~domain:40
+             @ group "L" 4 ~rows:4000 ~domain:8192
+             @ group "W" 8 ~rows:500 ~domain:1000))))
+
 let tests =
   Test.make_grouped ~name:"balg" ~fmt:"%s/%s"
     [
@@ -229,6 +262,16 @@ let json_benches ?pool () =
   let plain ?(engine = "tree") ~query name f =
     { jname = name; jengine = engine; jrun = f; jmemo = false; jquery = Some query }
   in
+  (* Loader rows carry the literal of the first bag they load. *)
+  let parse_bagdb name text =
+    let text = Lazy.force text in
+    let query =
+      match Baglang.Bagdb.parse text with
+      | (_, ty, v) :: _ -> Expr.lit v ty
+      | [] -> invalid_arg "parse_bagdb: no declaration"
+    in
+    plain ~query name (fun () -> ignore (Baglang.Bagdb.parse text))
+  in
   let powerset12_q = Expr.Powerset (Expr.lit bag12 (Ty.relation 1)) in
   let product20_q =
     Expr.Product
@@ -313,6 +356,9 @@ let json_benches ?pool () =
       metered ~engine:Veval.Vec "join_chain300_vec"
         (Lazy.force join_chain300_vec_q);
       metered ~engine:Veval.Vec "transitive_closure_graph8_vec" tc_q;
+      parse_bagdb "bagdb_parse_def500" def500_text;
+      parse_bagdb "bagdb_parse_def500_canonical" def500_canonical_text;
+      parse_bagdb "bagdb_parse_db_seed1" db_seed1_text;
     ]
   in
   (* With [--jobs N], the benches whose kernels take a pool (the vec

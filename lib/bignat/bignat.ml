@@ -277,5 +277,11 @@ let to_float (n : t) =
   |> List.rev
   |> List.fold_left (fun acc limb -> (acc *. float_of_int base) +. float_of_int limb) 0.
 
-let digits n = String.length (to_string n)
+let digits (n : t) =
+  let l = Array.length n in
+  if l = 0 then 1
+  else
+    let rec width x w = if x < 10 then w else width (x / 10) (w + 1) in
+    (base_digits * (l - 1)) + width n.(l - 1) 1
+
 let pp ppf n = Format.pp_print_string ppf (to_string n)

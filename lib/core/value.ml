@@ -137,23 +137,37 @@ let hash_coalesce pairs =
   let sorted = List.sort (fun (v, _) (w, _) -> compare v w) !distinct in
   of_sorted_assoc (List.map (fun (v, r) -> (v, !r)) sorted)
 
+(* Positive counts, strictly increasing elements: the pairs already are a
+   bag.  Stops at the first zero, duplicate or descent, so input in no
+   particular order pays a step or two. *)
+let rec canonical = function
+  | [] -> true
+  | [ (_, c) ] -> not (Bignat.is_zero c)
+  | (v, c) :: ((w, _) :: _ as rest) ->
+      (not (Bignat.is_zero c)) && compare v w < 0 && canonical rest
+
 (* Canonicalise an arbitrary association list into a bag: drop zeros,
-   coalesce counts additively, sort. *)
+   coalesce counts additively, sort.  Text rendered from a bag (a WAL
+   record, a shipped record, a snapshot) parses back to canonical pairs,
+   which are taken as they are. *)
 let bag_of_assoc (pairs : (t * Bignat.t) list) : t =
-  let pairs = List.filter (fun (_, c) -> not (Bignat.is_zero c)) pairs in
   match pairs with
-  | [] -> empty_bag
-  | [ p ] -> of_sorted_assoc [ p ]
-  | _ ->
-      let deep =
-        let rec probe budget = function
-          | (v, _) :: rest when budget > 0 ->
-              v.size >= 16 || probe (budget - 1) rest
-          | _ -> false
-        in
-        probe 4 pairs
-      in
-      if deep then hash_coalesce pairs else sort_coalesce pairs
+  | _ :: _ when canonical pairs -> of_sorted_assoc pairs
+  | _ -> (
+      let pairs = List.filter (fun (_, c) -> not (Bignat.is_zero c)) pairs in
+      match pairs with
+      | [] -> empty_bag
+      | [ p ] -> of_sorted_assoc [ p ]
+      | _ ->
+          let deep =
+            let rec probe budget = function
+              | (v, _) :: rest when budget > 0 ->
+                  v.size >= 16 || probe (budget - 1) rest
+              | _ -> false
+            in
+            probe 4 pairs
+          in
+          if deep then hash_coalesce pairs else sort_coalesce pairs)
 
 let bag_of_list vs = bag_of_assoc (List.map (fun v -> (v, Bignat.one)) vs)
 

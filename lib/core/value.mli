@@ -56,7 +56,9 @@ val tuple : t list -> t
 val bag_of_assoc : (t * Bignat.t) list -> t
 (** Canonicalises: coalesces equal elements additively (bucketing by
     {!hash}, so only distinct elements are deep-compared), drops zero
-    counts, sorts the distinct support. *)
+    counts, sorts the distinct support.  Pairs that are already canonical
+    (strictly increasing, positive counts) are taken as they are after one
+    linear check, without a sort. *)
 
 val bag_of_list : t list -> t
 (** Each occurrence counts once; duplicates in the list accumulate. *)

@@ -59,7 +59,7 @@ let parse ?path ?(max_count_digits = 10_000) (source : string) : t =
     | Stack_overflow -> db_error ?path ~offset "nesting too deep"
     | e -> db_error ?path ~offset "malformed input: %s" (Printexc.to_string e)
   in
-  let st = { Parser.toks = wrap ~offset:0 (fun () -> Lexer.tokenize source) } in
+  let st = wrap ~offset:0 (fun () -> Lexer.cursor source) in
   let rec decls acc seen =
     match Parser.peek st with
     | Lexer.EOF, _ -> List.rev acc

@@ -31,7 +31,14 @@ val parse : ?path:string -> ?max_count_digits:int -> string -> t
     are rejected; multiplicities over [max_count_digits] decimal digits
     (default 10,000 — {!Budget.default}'s bound) are rejected before any
     big-number arithmetic touches them.  @raise Db_error, and nothing
-    else, on every malformed input. *)
+    else, on every malformed input.
+
+    The text is read in one pass through a {!Lexer.cursor}: each token is
+    lexed when the parser reaches it, so the error reported is the first
+    one in text order, and a parse error wins over a lex error further
+    on.  Bags rendered by {!render} (a snapshot, a WAL record, a shipped
+    record) are already canonical and are taken without a sort; see
+    {!Balg.Value.bag_of_assoc}. *)
 
 val load : ?max_count_digits:int -> string -> t
 (** Read and {!parse} a file.  I/O failures (missing file, permission,

@@ -63,121 +63,79 @@ let token_to_string = function
   | VEE -> "'\\/'"
   | EOF -> "end of input"
 
-(** Tokenise a whole string.  [#] starts a line comment. *)
-let tokenize (s : string) : (token * int) list =
+(* A lexer cursor: the current token and the offset of the first byte
+   not yet lexed.  [advance] lexes exactly one more token, so a parse
+   reads its input in one pass and never holds more than one token. *)
+type cursor = { src : string; mutable next : int; mutable cur : token * int }
+
+let emit c pos width t =
+  c.next <- pos + width;
+  c.cur <- (t, pos)
+
+let rec scan_ident s n i = if i < n && is_ident_char s.[i] then scan_ident s n (i + 1) else i
+let rec scan_digits s n i = if i < n && is_digit s.[i] then scan_digits s n (i + 1) else i
+
+let rec advance c =
+  let s = c.src in
   let n = String.length s in
-  let toks = ref [] in
-  let emit t pos = toks := (t, pos) :: !toks in
-  let i = ref 0 in
-  let peek k = if !i + k < n then Some s.[!i + k] else None in
-  while !i < n do
-    let c = s.[!i] and pos = !i in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if c = '#' then begin
-      while !i < n && s.[!i] <> '\n' do
-        incr i
-      done
-    end
-    else if c = '{' && peek 1 = Some '{' then begin
-      emit LBAG pos;
-      i := !i + 2
-    end
-    else if c = '}' && peek 1 = Some '}' then begin
-      emit RBAG pos;
-      i := !i + 2
-    end
-    else if c = '-' && peek 1 = Some '>' then begin
-      emit ARROW pos;
-      i := !i + 2
-    end
-    else if c = '-' && peek 1 = Some '-' then begin
-      emit MINUSMINUS pos;
-      i := !i + 2
-    end
-    else if c = '+' && peek 1 = Some '+' then begin
-      emit PLUSPLUS pos;
-      i := !i + 2
-    end
-    else if c = '=' && peek 1 = Some '=' then begin
-      emit EQEQ pos;
-      i := !i + 2
-    end
-    else if c = '/' && peek 1 = Some '\\' then begin
-      emit WEDGE pos;
-      i := !i + 2
-    end
-    else if c = '\\' && peek 1 = Some '/' then begin
-      emit VEE pos;
-      i := !i + 2
-    end
-    else if c = '=' then begin
-      emit EQUAL pos;
-      incr i
-    end
-    else if c = '<' then begin
-      emit LANGLE pos;
-      incr i
-    end
-    else if c = '>' then begin
-      emit RANGLE pos;
-      incr i
-    end
-    else if c = '(' then begin
-      emit LPAREN pos;
-      incr i
-    end
-    else if c = ')' then begin
-      emit RPAREN pos;
-      incr i
-    end
-    else if c = '[' then begin
-      emit LBRACKET pos;
-      incr i
-    end
-    else if c = ']' then begin
-      emit RBRACKET pos;
-      incr i
-    end
-    else if c = ',' then begin
-      emit COMMA pos;
-      incr i
-    end
-    else if c = ':' then begin
-      emit COLON pos;
-      incr i
-    end
-    else if c = '.' then begin
-      emit DOT pos;
-      incr i
-    end
-    else if c = '*' then begin
-      emit STAR pos;
-      incr i
-    end
-    else if c = '\'' then begin
-      incr i;
-      let start = !i in
-      while !i < n && is_ident_char s.[!i] do
-        incr i
-      done;
-      if !i = start then raise (Lex_error ("empty atom name", pos));
-      emit (ATOM (String.sub s start (!i - start))) pos
-    end
-    else if is_digit c then begin
-      let start = !i in
-      while !i < n && is_digit s.[!i] do
-        incr i
-      done;
-      emit (INT (String.sub s start (!i - start))) pos
-    end
-    else if is_ident_start c then begin
-      let start = !i in
-      while !i < n && is_ident_char s.[!i] do
-        incr i
-      done;
-      emit (IDENT (String.sub s start (!i - start))) pos
-    end
-    else raise (Lex_error (Printf.sprintf "unexpected character %C" c, pos))
-  done;
-  emit EOF n;
-  List.rev !toks
+  let pos = c.next in
+  if pos >= n then c.cur <- (EOF, n)
+  else
+    (* '\000' stands for "past the end": no two-byte token ends in it *)
+    let second = if pos + 1 < n then s.[pos + 1] else '\000' in
+    match s.[pos] with
+    | ' ' | '\t' | '\n' | '\r' ->
+        c.next <- pos + 1;
+        advance c
+    | '#' ->
+        c.next <- (match String.index_from_opt s pos '\n' with Some j -> j | None -> n);
+        advance c
+    | '{' when second = '{' -> emit c pos 2 LBAG
+    | '}' when second = '}' -> emit c pos 2 RBAG
+    | '-' when second = '>' -> emit c pos 2 ARROW
+    | '-' when second = '-' -> emit c pos 2 MINUSMINUS
+    | '+' when second = '+' -> emit c pos 2 PLUSPLUS
+    | '=' when second = '=' -> emit c pos 2 EQEQ
+    | '/' when second = '\\' -> emit c pos 2 WEDGE
+    | '\\' when second = '/' -> emit c pos 2 VEE
+    | '=' -> emit c pos 1 EQUAL
+    | '<' -> emit c pos 1 LANGLE
+    | '>' -> emit c pos 1 RANGLE
+    | '(' -> emit c pos 1 LPAREN
+    | ')' -> emit c pos 1 RPAREN
+    | '[' -> emit c pos 1 LBRACKET
+    | ']' -> emit c pos 1 RBRACKET
+    | ',' -> emit c pos 1 COMMA
+    | ':' -> emit c pos 1 COLON
+    | '.' -> emit c pos 1 DOT
+    | '*' -> emit c pos 1 STAR
+    | '\'' ->
+        let stop = scan_ident s n (pos + 1) in
+        if stop = pos + 1 then raise (Lex_error ("empty atom name", pos));
+        emit c pos (stop - pos) (ATOM (String.sub s (pos + 1) (stop - pos - 1)))
+    | ch when is_digit ch ->
+        let stop = scan_digits s n pos in
+        emit c pos (stop - pos) (INT (String.sub s pos (stop - pos)))
+    | ch when is_ident_start ch ->
+        let stop = scan_ident s n pos in
+        emit c pos (stop - pos) (IDENT (String.sub s pos (stop - pos)))
+    | ch -> raise (Lex_error (Printf.sprintf "unexpected character %C" ch, pos))
+
+let cursor s =
+  let c = { src = s; next = 0; cur = (EOF, 0) } in
+  advance c;
+  c
+
+let peek c = c.cur
+
+(** Tokenise a whole string: the cursor run to [EOF]. *)
+let tokenize (s : string) : (token * int) list =
+  let c = cursor s in
+  let rec go acc =
+    match c.cur with
+    | (EOF, _) as t -> List.rev (t :: acc)
+    | t ->
+        advance c;
+        go (t :: acc)
+  in
+  go []

@@ -31,10 +31,10 @@ exception Parse_error of string * int
 
 let error msg pos = raise (Parse_error (msg, pos))
 
-type stream = { mutable toks : (Lexer.token * int) list }
+type stream = Lexer.cursor
 
-let peek st = match st.toks with [] -> (Lexer.EOF, 0) | t :: _ -> t
-let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
+let peek = Lexer.peek
+let advance = Lexer.advance
 
 let expect st tok =
   let t, pos = peek st in
@@ -371,8 +371,8 @@ and parse_primary st =
 
 (* --- entry points ------------------------------------------------------------ *)
 
-let of_tokens parse s =
-  let st = { toks = Lexer.tokenize s } in
+let of_string parse s =
+  let st = Lexer.cursor s in
   let result = parse st in
   (match peek st with
   | Lexer.EOF, _ -> ()
@@ -380,6 +380,6 @@ let of_tokens parse s =
       error (Printf.sprintf "trailing input: %s" (Lexer.token_to_string t)) pos);
   result
 
-let expr_of_string s = of_tokens parse_expr s
-let value_of_string s = of_tokens parse_value s
-let ty_of_string s = of_tokens parse_ty s
+let expr_of_string s = of_string parse_expr s
+let value_of_string s = of_string parse_value s
+let ty_of_string s = of_string parse_ty s

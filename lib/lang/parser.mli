@@ -10,7 +10,11 @@ open Balg
 exception Parse_error of string * int
 (** message, byte offset *)
 
-type stream = { mutable toks : (Lexer.token * int) list }
+type stream = Lexer.cursor
+(** The parser reads a {!Lexer.cursor} and never looks more than one
+    token ahead, so a text is lexed and parsed in one pass.  Lex errors
+    therefore surface in text order with parse errors: a
+    {!Parse_error} before a later {!Lexer.Lex_error} wins. *)
 
 (** {1 Stream primitives} (exposed for the [.bagdb] loader) *)
 

@@ -183,6 +183,17 @@ if [ -n "$bad" ]; then
   fail=1
 fi
 
+# one-pass loading: the parsers read a Lexer.cursor, which lexes each
+# token when the parser reaches it, so loading a database, replaying the
+# WAL or applying a shipped record never builds a list of every token.
+# Lexer.tokenize (that list) is for tests and tools outside lib/.
+bad=$(grep -rn 'Lexer\.tokenize' lib --include='*.ml' | grep -v '^lib/lang/lexer\.ml:' || true)
+if [ -n "$bad" ]; then
+  echo "lint: parse through a Lexer.cursor; no Lexer.tokenize token list in lib/:"
+  echo "$bad" | sed 's/^/  /'
+  fail=1
+fi
+
 # Nagle off on every accepted socket: a reply or a shipped record is one
 # small write, and the delayed ACK of a busy peer would hold it back.
 # Every Unix.accept in lib/server sets TCP_NODELAY within three lines.

@@ -77,6 +77,82 @@ let test_valid_roundtrip () =
       Alcotest.(check bool) "value" true (Value.equal v v'))
     db db'
 
+(* Nested bag types: elements that are bags, and tuples holding bags, so
+   both canonicalisation paths (sort, and hash-then-sort for deep
+   elements) see rendered text. *)
+let nested_types =
+  Ty.
+    [
+      relation 2;
+      Bag (Tuple [ Atom; Bag Atom ]);
+      Bag (Bag (Tuple [ Atom; Atom ]));
+      Bag (Tuple [ Atom; Bag (Tuple [ Atom; Bag Atom ]) ]);
+    ]
+
+let gen_nested rng =
+  let ty = List.nth nested_types (Random.State.int rng (List.length nested_types)) in
+  (ty, Baggen.Genval.of_type rng ~n_atoms:5 ~width:5 ~max_count:4 ty)
+
+let prop_nested_roundtrip =
+  QCheck.Test.make ~name:"render/parse roundtrip on nested databases" ~count:300
+    QCheck.(make Gen.int)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let db =
+        List.init (1 + Random.State.int rng 3) (fun i ->
+            let ty, v = gen_nested rng in
+            (Printf.sprintf "n%d" i, ty, v))
+      in
+      let source = Bagdb.render db in
+      let db' = Bagdb.parse source in
+      List.for_all2
+        (fun (n, ty, v) (n', ty', v') ->
+          String.equal n n' && Ty.equal ty ty' && Value.equal v v')
+        db db'
+      && String.equal source (Bagdb.render db'))
+
+(* A literal in any order, with elements repeated and zero counts mixed
+   in, parses to the canonical bag: text that is not already canonical
+   must take the sorting path. *)
+let prop_unordered_literal =
+  QCheck.Test.make ~name:"shuffled literals with repeats parse canonical" ~count:300
+    QCheck.(make Gen.int)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let ty, v = gen_nested rng in
+      let parts =
+        List.concat_map
+          (fun (w, c) ->
+            (* split each count into unit occurrences plus the rest *)
+            let c = Bignat.to_int_exn c in
+            let units = Random.State.int rng (c + 1) in
+            let rest = if units = c then [] else [ (w, c - units) ] in
+            let zero = if Random.State.int rng 4 = 0 then [ (w, 0) ] else [] in
+            List.init units (fun _ -> (w, 1)) @ rest @ zero)
+          (Value.as_bag v)
+      in
+      let parts = Array.of_list parts in
+      for i = Array.length parts - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let t = parts.(i) in
+        parts.(i) <- parts.(j);
+        parts.(j) <- t
+      done;
+      let literal =
+        "{{ "
+        ^ String.concat ", "
+            (Array.to_list
+               (Array.map
+                  (fun (w, k) ->
+                    Value.to_string w ^ if k = 1 then "" else ":" ^ string_of_int k)
+                  parts))
+        ^ " }}"
+      in
+      match Bagdb.parse ("bag b : " ^ Ty.to_string ty ^ " = " ^ literal) with
+      | [ (_, _, v') ] ->
+          Value.equal v v' && String.equal (Value.to_string v) (Value.to_string v')
+      | _ -> false)
+
 let test_duplicate_names_rejected () =
   let source = "bag r : {{<U>}} = {{ <'a> }}\nbag r : {{<U>}} = {{ <'b> }}" in
   match Bagdb.parse source with
@@ -172,6 +248,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_mutated_parse_total;
           Alcotest.test_case "valid roundtrip" `Quick test_valid_roundtrip;
+          QCheck_alcotest.to_alcotest prop_nested_roundtrip;
+          QCheck_alcotest.to_alcotest prop_unordered_literal;
           Alcotest.test_case "duplicate names rejected" `Quick
             test_duplicate_names_rejected;
           Alcotest.test_case "duplicate offset in second span" `Quick

@@ -138,6 +138,10 @@ let test_gcd_lcm_factorial () =
 let test_misc () =
   Alcotest.(check int) "digits 0" 1 (B.digits B.zero);
   Alcotest.(check int) "digits" 4 (B.digits (bi 1234));
+  Alcotest.(check int) "digits 9" 1 (B.digits (bi 9));
+  Alcotest.(check int) "digits 10^9-1" 9 (B.digits (bi 999_999_999));
+  Alcotest.(check int) "digits 10^9" 10 (B.digits (bi 1_000_000_000));
+  Alcotest.(check int) "digits 10^18" 19 (B.digits (B.pow (bi 10) 18));
   check_nat "min" (bi 3) (B.min (bi 3) (bi 8));
   check_nat "max" (bi 8) (B.max (bi 3) (bi 8));
   check_nat "sum" (bi 6) (B.sum [ bi 1; bi 2; bi 3 ]);
@@ -208,6 +212,27 @@ let prop_compare_total_order =
       | c when c < 0 -> B.is_zero (B.monus a b) && not (B.is_zero (B.monus b a))
       | _ -> B.is_zero (B.monus b a) && not (B.is_zero (B.monus a b)))
 
+(* A digit count changes at the powers of ten, so they and their
+   neighbours are drawn as often as random multi-limb values; the pinned
+   cases sit on the limb boundary (10^9) and the machine-int range. *)
+let gen_digits =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ B.zero; bi 9; bi 999_999_999; bi 1_000_000_000; B.pow (bi 10) 18 ];
+        map2
+          (fun k d -> B.monus (B.add (B.pow (bi 10) k) (bi d)) (bi 1))
+          (int_bound 60) (int_bound 2);
+        gen_big;
+        map2 B.mul gen_big gen_big;
+      ])
+
+let prop_digits =
+  QCheck.Test.make ~name:"digits is the length of to_string" ~count:500
+    (QCheck.make ~print:B.to_string gen_digits)
+    (fun n -> B.digits n = String.length (B.to_string n))
+
 let prop_pascal =
   QCheck.Test.make ~name:"binomial satisfies Pascal's rule" ~count:200
     QCheck.(pair (int_range 1 60) (int_range 0 60))
@@ -235,6 +260,7 @@ let props = List.map QCheck_alcotest.to_alcotest
     prop_add_comm_assoc;
     prop_mul_distributes;
     prop_string_roundtrip;
+    prop_digits;
     prop_compare_total_order;
     prop_pascal;
   ]

@@ -54,6 +54,13 @@ let test_parse_value () =
   Alcotest.check value "coalescing"
     (Value.bag_of_assoc [ (Value.atom "x", Bignat.of_int 5) ])
     (Parser.value_of_string "{{ 'x:2, 'x:3 }}");
+  (* in order but not canonical: the no-sort path must not take these *)
+  Alcotest.check value "adjacent duplicates"
+    (Value.replicate (Bignat.of_int 2) (Value.atom "a"))
+    (Parser.value_of_string "{{'a, 'a}}");
+  Alcotest.check value "zero count"
+    (Value.bag_of_list [ Value.atom "b" ])
+    (Parser.value_of_string "{{'a:0, 'b}}");
   Alcotest.check value "big count"
     (Value.replicate (Bignat.of_string "123456789012345678901") (Value.atom "x"))
     (Parser.value_of_string "{{ 'x:123456789012345678901 }}")
@@ -110,6 +117,21 @@ let test_parse_errors () =
       | e -> Alcotest.failf "expected parse error on %S, got %s" s (Expr.to_string e))
     [ "map(x -> y"; "select(x -> a, B)"; "R ++"; "{{ }} ++ R"; "empty(U)"; "R S" ]
 
+(* Tokens are lexed as the parser reaches them, so an error is reported
+   at the first offset where the text stops making sense: a parse error
+   wins over a bad character later on. *)
+let test_parse_error_precedence () =
+  (match Parser.expr_of_string "R ++ ) ?" with
+  | exception Parser.Parse_error (_, pos) ->
+      Alcotest.(check int) "parse error at ')'" 5 pos
+  | exception Lexer.Lex_error (msg, _) ->
+      Alcotest.failf "the earlier parse error must win, got lex error %s" msg
+  | _ -> Alcotest.fail "expected a parse error");
+  match Parser.expr_of_string "R ++ ?" with
+  | exception Lexer.Lex_error (_, pos) -> Alcotest.(check int) "lex error at '?'" 5 pos
+  | exception Parser.Parse_error (msg, _) -> Alcotest.failf "expected a lex error, got %s" msg
+  | _ -> Alcotest.fail "expected a lex error"
+
 (* evaluating a parsed query end to end *)
 let test_parse_eval_pipeline () =
   let db =
@@ -149,6 +171,20 @@ let test_bagdb_duplicate_names () =
   match Bagdb.parse "bag R : {{U}} = {{ 'a }}\nbag R : {{U}} = {{ 'b }}" with
   | exception Bagdb.Db_error _ -> ()
   | _ -> Alcotest.fail "expected Db_error"
+
+let test_bagdb_error_precedence () =
+  let located src =
+    match Bagdb.parse src with
+    | exception Bagdb.Db_error e -> (e.Bagdb.offset, e.Bagdb.reason)
+    | _ -> Alcotest.failf "expected Db_error on %S" src
+  in
+  let offset, reason = located "bag R : U U = 'a ?" in
+  Alcotest.(check int) "parse error offset" 10 offset;
+  Alcotest.(check bool) "parse error wins" true
+    (String.starts_with ~prefix:"parse error" reason);
+  let offset, reason = located "bag R : U = 'a ?" in
+  Alcotest.(check int) "lex error offset" 15 offset;
+  Alcotest.(check bool) "lex error" true (String.starts_with ~prefix:"lex error" reason)
 
 let test_bagdb_render_roundtrip () =
   let db =
@@ -191,6 +227,7 @@ let () =
           Alcotest.test_case "map/select" `Quick test_parse_projection;
           Alcotest.test_case "pi sugar" `Quick test_parse_pi_sugar;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "error precedence" `Quick test_parse_error_precedence;
           Alcotest.test_case "end-to-end pipeline" `Quick test_parse_eval_pipeline;
         ] );
       ( "bagdb",
@@ -199,6 +236,7 @@ let () =
           Alcotest.test_case "type mismatch" `Quick test_bagdb_type_mismatch;
           Alcotest.test_case "duplicate names" `Quick test_bagdb_duplicate_names;
           Alcotest.test_case "render roundtrip" `Quick test_bagdb_render_roundtrip;
+          Alcotest.test_case "error precedence" `Quick test_bagdb_error_precedence;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_roundtrip ]);
     ]

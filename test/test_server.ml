@@ -837,6 +837,14 @@ let test_server_roundtrip () =
         queries;
       Alcotest.(check bool) "parse errors are err parse" true
         (starts_with "err parse" (req c "eval R ++"));
+      (* lexing is lazy: the parse error ahead of the bad character wins *)
+      Alcotest.(check string) "parse error before a later lex error"
+        "err parse: offset 5: expected an expression, found ')'"
+        (req c "eval R ++ ) ?");
+      Alcotest.(check bool) "lex errors are err parse" true
+        (starts_with "err parse: lex error at offset 5" (req c "eval R ++ ?"));
+      Alcotest.(check bool) "a def's parse error is err db" true
+        (starts_with "err db: offset 10: parse error" (req c "def bag S : U U = 'a ?"));
       Alcotest.(check bool) "type errors are err type" true
         (starts_with "err type" (req c "eval Zebra"));
       Alcotest.(check bool) "unknown command is err proto" true
